@@ -94,7 +94,7 @@ fn bench_encode() {
 
     let mut rel = ReliableTransport::new(NodeAddr(1), ReliableConfig::default());
     let ns = time_op(iters, || {
-        let frame = rel.on_send(std::hint::black_box(dgram.clone())).unwrap();
+        let frame = rel.on_send(std::hint::black_box(dgram.clone()), 0).unwrap();
         std::hint::black_box(frame.encode());
         // Ack everything so the window never closes and unacked stays tiny.
         let _ = rel.on_recv(
@@ -105,6 +105,7 @@ fn bench_encode() {
                 src_queue: 0,
             }
             .encode(),
+            0,
         );
     });
     println!("reliable_send_encode_alloc_ns={ns}");
@@ -139,11 +140,11 @@ fn pooled_encode_hook(iters: u64, dgram: &Datagram) {
     let mut spare = dgram.lines.clone();
     let ns = time_op(iters, || {
         let d = Datagram::new(dgram.src, dgram.dst, std::mem::take(&mut spare));
-        rel.on_send_encode(d, &mut out).unwrap();
+        rel.on_send_encode(d, 0, &mut out).unwrap();
         std::hint::black_box(&out);
         // Ack everything so the window never closes; reclaim the retired
         // line vector for the next iteration, as `reliable_tick` does.
-        let _ = rel.on_recv(&ack_bytes);
+        let _ = rel.on_recv(&ack_bytes, 0);
         rel.drain_retired(|lines| spare = lines);
     });
     println!("reliable_send_encode_pooled_ns={ns}");

@@ -46,6 +46,7 @@
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use crossbeam::channel::Receiver;
 use parking_lot::Mutex;
@@ -214,6 +215,10 @@ pub(crate) struct EngineCore {
     /// channels are keyed per `(peer, peer queue)`, so two workers never
     /// share sequence state.
     pub reliable: Option<ReliableTransport>,
+    /// The reliable transport's clock: nanoseconds since this worker
+    /// started, read once per loop iteration (only when the transport is
+    /// on) and passed into every send/receive/tick call.
+    pub now: u64,
     /// Datagrams deferred by reliable-transport window backpressure, with
     /// the destination queue their connection routed to.
     pub pending_out: VecDeque<(Datagram, u16)>,
@@ -340,7 +345,11 @@ impl EngineCore {
         self.waker.register_current();
         let mut idle = SpinWait::new();
         let mut tick: u64 = 0;
+        let epoch = Instant::now();
         loop {
+            if self.reliable.is_some() {
+                self.now = epoch.elapsed().as_nanos() as u64;
+            }
             if self.stop.load(Ordering::Acquire) {
                 self.shutdown_drain(tick);
                 return;
@@ -366,10 +375,10 @@ impl EngineCore {
                 // spin → yield → park; producers wake us via the latch.
                 idle.wait_with(&self.waker);
             } else {
-                // Timers (retransmit deadlines, arbiter rotation, deferred
-                // sends, handoff retries) still need ticks: stay in the
-                // non-parking phase of the same backoff instead of
-                // bypassing it.
+                // Timers (retransmit deadlines, owed acks, arbiter
+                // rotation, deferred sends, handoff retries) still need
+                // ticks: stay in the non-parking phase of the same backoff
+                // instead of bypassing it.
                 idle.snooze();
             }
             tick = tick.wrapping_add(1);
@@ -470,7 +479,7 @@ impl EngineCore {
             let count = dgram.lines.len() as u64;
             let dst = dgram.dst;
             let mut out = self.pool.get_bytes();
-            rel.on_send_forced_encode_to(dgram, dst_queue, &mut out);
+            rel.on_send_forced_encode_to(dgram, dst_queue, self.now, &mut out);
             if self.port.send_to(dst, dst_queue, out).is_ok() {
                 self.monitor.add_tx_frames(count);
                 self.monitor.inc_tx_datagrams();
@@ -706,7 +715,7 @@ impl EngineCore {
         let mut out = self.pool.get_bytes();
         match &mut self.reliable {
             Some(rel) => {
-                if let Err(dgram) = rel.on_send_encode_to(dgram, dst_queue, &mut out) {
+                if let Err(dgram) = rel.on_send_encode_to(dgram, dst_queue, self.now, &mut out) {
                     // Window raced shut between check and send; defer.
                     self.pool.put_bytes(out);
                     self.monitor.inc_tx_window_deferrals();
@@ -824,10 +833,11 @@ impl EngineCore {
         progress
     }
 
-    /// Advances the reliable transport: standalone acks + retransmissions,
-    /// each encoded straight into a pooled buffer and addressed to the
-    /// channel's queue; ack-retired line vectors are recycled first. An
-    /// idle tick touches no heap at all.
+    /// Advances the reliable transport to `now`: acks whose delay expired,
+    /// fast and timeout retransmissions, each encoded straight into a
+    /// pooled buffer and addressed to the channel's queue; ack-retired
+    /// line vectors are recycled first. An idle tick touches no heap at
+    /// all.
     fn reliable_tick(&mut self) {
         let Some(rel) = self.reliable.as_mut() else {
             return;
@@ -842,7 +852,7 @@ impl EngineCore {
         // Data frames emitted here are always retransmissions (first sends
         // go through `send_datagram`); count them for the flight recorder.
         let mut retransmits = 0u64;
-        rel.on_tick_with(|view| {
+        rel.on_tick_with(self.now, |view| {
             if matches!(view, FrameView::Data { .. }) {
                 retransmits += 1;
             }
@@ -876,7 +886,7 @@ impl EngineCore {
             };
             progress = true;
             let decoded = match &mut self.reliable {
-                Some(rel) => match rel.on_recv(&bytes) {
+                Some(rel) => match rel.on_recv(&bytes, self.now) {
                     Ok(opt) => opt, // None: ack, duplicate, or gap
                     Err(_) => {
                         // Undecodable off the wire (truncated or corrupted);
@@ -1380,6 +1390,7 @@ mod tests {
             ctrl_rx,
             confirmed: Arc::new(Mutex::new(HashSet::new())),
             reliable: None,
+            now: 0,
             pending_out: VecDeque::new(),
             window_frames: 0,
             direct_polling: false,
@@ -1492,6 +1503,7 @@ mod tests {
                     ctrl_rx,
                     confirmed: Arc::clone(&confirmed),
                     reliable: None,
+                    now: 0,
                     pending_out: VecDeque::new(),
                     window_frames: 0,
                     direct_polling: false,

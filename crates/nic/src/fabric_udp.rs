@@ -320,7 +320,9 @@ impl UdpFabric {
     ///
     /// Receives are batched: the first read blocks (bounded by the socket
     /// timeout), then whatever else already sits in the kernel buffer is
-    /// drained nonblocking up to [`RX_BATCH`], and each queue the burst
+    /// drained with [`recv_from_dontwait`] up to [`RX_BATCH`] — the socket
+    /// itself stays blocking, so a burst costs no mode toggles — and each
+    /// queue the burst
     /// touched is woken exactly once at the end — the receive half of the
     /// doorbell amortization.
     fn pump(inner: &Arc<UdpInner>, node: NodeAddr, socket: &UdpSocket, stop: &AtomicBool) {
@@ -339,15 +341,11 @@ impl UdpFabric {
             };
             staged.clear();
             staged.push((buf[..len].to_vec(), from));
-            if socket.set_nonblocking(true).is_ok() {
-                while staged.len() < RX_BATCH {
-                    match socket.recv_from(&mut buf) {
-                        Ok((len, from)) => staged.push((buf[..len].to_vec(), from)),
-                        Err(_) => break,
-                    }
+            while staged.len() < RX_BATCH {
+                match recv_from_dontwait(socket, &mut buf) {
+                    Some((len, from)) => staged.push((buf[..len].to_vec(), from)),
+                    None => break,
                 }
-                // The read timeout set at attach survives the toggle.
-                let _ = socket.set_nonblocking(false);
             }
             // Queues this burst staged frames into (bit `min(q, 63)`; the
             // fold can only over-wake, and wakes are idempotent).
@@ -631,9 +629,129 @@ fn _assert_object_safe<'a>(mem: &'a MemFabric, udp: &'a UdpFabric) -> [&'a dyn F
     [mem, udp]
 }
 
+/// One nonblocking receive on a blocking socket: `recvfrom(2)` with
+/// `MSG_DONTWAIT`, declared against the C library std already links. It
+/// replaces a `set_nonblocking` on/off pair (two `fcntl` syscalls) around
+/// every drained burst. `None` when nothing is queued, or on any error.
+#[cfg(target_os = "linux")]
+fn recv_from_dontwait(socket: &UdpSocket, buf: &mut [u8]) -> Option<(usize, SocketAddr)> {
+    use std::net::{Ipv4Addr, Ipv6Addr, SocketAddrV4, SocketAddrV6};
+    use std::os::fd::AsRawFd;
+
+    const MSG_DONTWAIT: i32 = 0x40;
+    const AF_INET: u16 = 2;
+    const AF_INET6: u16 = 10;
+    extern "C" {
+        fn recvfrom(
+            fd: i32,
+            buf: *mut u8,
+            len: usize,
+            flags: i32,
+            addr: *mut u8,
+            addr_len: *mut u32,
+        ) -> isize;
+    }
+    /// `struct sockaddr_storage`: large and aligned enough for any family.
+    #[repr(C, align(8))]
+    struct SockaddrStorage([u8; 128]);
+
+    let mut addr = SockaddrStorage([0; 128]);
+    let mut addr_len = addr.0.len() as u32;
+    // SAFETY: `buf` and `addr` are writable for the lengths passed, and
+    // the descriptor stays open for the call because `socket` is borrowed.
+    let n = unsafe {
+        recvfrom(
+            socket.as_raw_fd(),
+            buf.as_mut_ptr(),
+            buf.len(),
+            MSG_DONTWAIT,
+            addr.0.as_mut_ptr(),
+            &mut addr_len,
+        )
+    };
+    let len = usize::try_from(n).ok()?;
+    let a = &addr.0;
+    let port = u16::from_be_bytes([a[2], a[3]]);
+    let from = match u16::from_ne_bytes([a[0], a[1]]) {
+        AF_INET => SocketAddr::V4(SocketAddrV4::new(
+            Ipv4Addr::new(a[4], a[5], a[6], a[7]),
+            port,
+        )),
+        AF_INET6 => {
+            let ip: [u8; 16] = a[8..24].try_into().expect("16 bytes");
+            let flow = u32::from_be_bytes(a[4..8].try_into().expect("4 bytes"));
+            let scope = u32::from_ne_bytes(a[24..28].try_into().expect("4 bytes"));
+            SocketAddr::V6(SocketAddrV6::new(Ipv6Addr::from(ip), port, flow, scope))
+        }
+        _ => return None,
+    };
+    Some((len, from))
+}
+
+/// Portable fallback: toggles the socket mode around one receive.
+#[cfg(not(target_os = "linux"))]
+fn recv_from_dontwait(socket: &UdpSocket, buf: &mut [u8]) -> Option<(usize, SocketAddr)> {
+    socket.set_nonblocking(true).ok()?;
+    let got = socket.recv_from(buf).ok();
+    let _ = socket.set_nonblocking(false);
+    got
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn dontwait_drains_without_blocking() {
+        let rx = UdpSocket::bind("127.0.0.1:0").unwrap();
+        rx.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let tx = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let mut buf = [0u8; 64];
+        let start = Instant::now();
+        assert_eq!(recv_from_dontwait(&rx, &mut buf), None, "empty socket");
+        assert!(start.elapsed() < Duration::from_secs(1), "must not block");
+        for tag in 1..=3u8 {
+            tx.send_to(&[tag; 5], rx.local_addr().unwrap()).unwrap();
+        }
+        // The first read blocks as the pump's does; the rest drain.
+        let (len, from) = rx.recv_from(&mut buf).unwrap();
+        assert_eq!(
+            (&buf[..len], from),
+            (&[1u8; 5][..], tx.local_addr().unwrap())
+        );
+        for tag in 2..=3u8 {
+            let deadline = Instant::now() + Duration::from_secs(2);
+            let got = loop {
+                if let Some(got) = recv_from_dontwait(&rx, &mut buf) {
+                    break got;
+                }
+                assert!(Instant::now() < deadline, "datagram {tag} never drained");
+            };
+            assert_eq!(got, (5, tx.local_addr().unwrap()));
+            assert_eq!(buf[..5], [tag; 5]);
+        }
+        assert_eq!(recv_from_dontwait(&rx, &mut buf), None);
+        // The socket is still blocking, with its read timeout intact.
+        assert_eq!(rx.read_timeout().unwrap(), Some(Duration::from_secs(5)));
+    }
+
+    #[test]
+    fn dontwait_reports_ipv6_sources() {
+        let Ok(rx) = UdpSocket::bind("[::1]:0") else {
+            return; // no IPv6 loopback on this host
+        };
+        let tx = UdpSocket::bind("[::1]:0").unwrap();
+        tx.send_to(&[7; 3], rx.local_addr().unwrap()).unwrap();
+        let mut buf = [0u8; 16];
+        let deadline = Instant::now() + Duration::from_secs(2);
+        let got = loop {
+            if let Some(got) = recv_from_dontwait(&rx, &mut buf) {
+                break got;
+            }
+            assert!(Instant::now() < deadline, "datagram never drained");
+        };
+        assert_eq!(got, (3, tx.local_addr().unwrap()));
+    }
 
     fn attach(fabric: &UdpFabric, addr: NodeAddr, queues: usize) -> Vec<Arc<dyn FabricPort>> {
         Fabric::attach_queues(fabric, addr, queues).unwrap()

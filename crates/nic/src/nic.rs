@@ -54,7 +54,7 @@ use crate::hcc::HostCoherentCache;
 use crate::lb::LoadBalancer;
 use crate::monitor::{PacketMonitor, QueueStats};
 use crate::offload::{OffloadSnapshot, OffloadState};
-use crate::reliable::{ReliableConfig, ReliableTransport};
+use crate::reliable::{ReliableConfig, ReliableStats, ReliableTransport};
 use crate::reqbuf::RequestBuffer;
 use crate::ring::{ring, RingConsumer, RingProducer};
 use crate::sched::FlowScheduler;
@@ -311,6 +311,7 @@ impl Nic {
                 ctrl_rx: ctrl_rx.clone(),
                 confirmed: Arc::clone(&confirmed),
                 reliable,
+                now: 0,
                 pending_out: Default::default(),
                 window_frames: 0,
                 direct_polling: false,
@@ -453,30 +454,26 @@ impl Nic {
                 reg.set_gauge(&format!("{prefix}.cm.rx_port_hits"), cm.rx_port.hits);
                 reg.set_gauge(&format!("{prefix}.cm.rx_port_misses"), cm.rx_port.misses);
                 if !reliable_stats.is_empty() {
-                    let mut retransmissions = 0u64;
-                    let mut out_of_order_drops = 0u64;
-                    let mut duplicate_drops = 0u64;
-                    let mut wire_drops = 0u64;
-                    for rs in &reliable_stats {
-                        let r = rs.snapshot();
-                        retransmissions += r.retransmissions;
-                        out_of_order_drops += r.out_of_order_drops;
-                        duplicate_drops += r.duplicate_drops;
-                        wire_drops += r.wire_drops;
+                    // Counters sum over queues; the smoothed RTT is the
+                    // slowest queue's.
+                    let snaps: Vec<ReliableStats> =
+                        reliable_stats.iter().map(|s| s.snapshot()).collect();
+                    type Field = fn(&ReliableStats) -> u64;
+                    let counters: [(&str, Field); 7] = [
+                        ("retransmissions", |r| r.retransmissions),
+                        ("out_of_order_drops", |r| r.out_of_order_drops),
+                        ("duplicate_drops", |r| r.duplicate_drops),
+                        ("wire_drops", |r| r.wire_drops),
+                        ("standalone_acks", |r| r.standalone_acks),
+                        ("fast_retransmits", |r| r.fast_retransmits),
+                        ("timeout_retransmits", |r| r.timeout_retransmits),
+                    ];
+                    for (name, count) in counters {
+                        let total = snaps.iter().map(count).sum();
+                        reg.set_gauge(&format!("{prefix}.reliable.{name}"), total);
                     }
-                    reg.set_gauge(
-                        &format!("{prefix}.reliable.retransmissions"),
-                        retransmissions,
-                    );
-                    reg.set_gauge(
-                        &format!("{prefix}.reliable.out_of_order_drops"),
-                        out_of_order_drops,
-                    );
-                    reg.set_gauge(
-                        &format!("{prefix}.reliable.duplicate_drops"),
-                        duplicate_drops,
-                    );
-                    reg.set_gauge(&format!("{prefix}.reliable.wire_drops"), wire_drops);
+                    let srtt_ns = snaps.iter().map(|r| r.srtt_ns).max().unwrap_or(0);
+                    reg.set_gauge(&format!("{prefix}.reliable.srtt_ns"), srtt_ns);
                 }
             });
         }

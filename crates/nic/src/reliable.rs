@@ -11,17 +11,30 @@
 //!   cumulatively — acknowledgements piggyback the receiver's own traffic
 //!   when possible, as §4.5 suggests ("piggybacking acknowledgement");
 //! * the sender keeps unacknowledged datagrams in a retransmit buffer
-//!   keyed by sequence, bounded by a window, and retransmits after a
-//!   timeout measured in engine ticks.
+//!   keyed by sequence, bounded by a window, and retransmits after an
+//!   RFC 6298-style retransmission timeout estimated from measured RTTs.
+//!
+//! Every timer runs on a clock the caller supplies: each `on_send`,
+//! `on_recv`, and `on_tick` takes a monotonic `now`. The engine passes
+//! nanoseconds since it started; tests and the chaos replay driver pass a
+//! synthetic clock, so their runs stay event-deterministic. The transport
+//! never reads the clock itself.
+//!
+//! Acknowledgements are coalesced (RFC 1122 §4.2.3.2 delayed acks): an
+//! owed ack waits [`ReliableConfig::ack_delay`] for a reverse data
+//! datagram to carry it in its `ack` field, and leaves as a standalone
+//! frame only when the delay expires. A gap (which makes the ack a SACK),
+//! a duplicate, or a second unacknowledged arrival sends it at once.
 //!
 //! Loss recovery runs in one of two modes ([`RecoveryMode`]):
 //!
 //! * **Selective repeat** (the default): the receiver *buffers*
 //!   out-of-order datagrams (up to [`SACK_SPAN`] beyond the in-order
 //!   point) and advertises them in SACK frames — cumulative ack plus a
-//!   64-bit received-bitmap. The sender marks sacked entries and a timeout
-//!   retransmits only the frames the receiver actually misses, so a single
-//!   drop costs a single retransmission.
+//!   64-bit received-bitmap. The sender marks sacked entries, re-sends the
+//!   holes below the highest sacked sequence at once (fast retransmit),
+//!   and a timeout retransmits only the frames the receiver actually
+//!   misses, so a single drop costs a single retransmission.
 //! * **Go-Back-N** (the original protocol, kept for A/B measurement and
 //!   as the migration baseline): the receiver discards anything past a
 //!   gap and a timeout re-sends the entire unacked window.
@@ -456,25 +469,37 @@ impl TransportFrame {
     }
 }
 
-/// How the sender repairs loss once the retransmit timer expires.
+/// How the sender repairs loss.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum RecoveryMode {
     /// Selective repeat: the receiver buffers out-of-order datagrams and
-    /// advertises them in SACK bitmaps; a timeout retransmits only the
-    /// frames the receiver is actually missing.
+    /// advertises them in SACK bitmaps; the sender re-sends the holes a
+    /// SACK reveals at once, and a timeout retransmits only the frames the
+    /// receiver is actually missing.
     #[default]
     SelectiveRepeat,
     /// Go-Back-N: the receiver discards anything past a gap; a timeout
     /// re-sends the whole unacked window. The original protocol, kept for
-    /// A/B measurement (the chaos suite pins SR's efficiency against it).
+    /// A/B measurement (the chaos suite pins SR's efficiency against it),
+    /// so it repairs on timeout only.
     GoBackN,
 }
 
-/// Configuration of the reliability protocol.
+/// The delayed-ack timer as a fraction of the RTO floor: an owed ack waits
+/// `floor / ACK_DELAY_DIVISOR` for reverse data to ride on (31.25 µs at the
+/// default 500 µs floor).
+const ACK_DELAY_DIVISOR: u64 = 16;
+/// The RTO cap as a multiple of the floor (32 ms at the default floor).
+const RTO_CAP_FACTOR: u64 = 64;
+
+/// Configuration of the reliability protocol. Times are in the units of
+/// the clock the caller passes as `now`; the engine's clock counts
+/// nanoseconds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReliableConfig {
-    /// Engine ticks without an ack before retransmitting from the first
-    /// unacknowledged datagram.
+    /// Floor of the retransmission timeout, and the timeout before the
+    /// first RTT sample. The estimate (SRTT + 4·RTTVAR) is clamped to
+    /// `[floor, 64 × floor]`; the delayed-ack timer is `floor / 16`.
     pub retransmit_after_ticks: u64,
     /// Maximum unacknowledged datagrams per peer before sends are refused
     /// (backpressure to the TX FSM, which retries next round).
@@ -486,51 +511,109 @@ pub struct ReliableConfig {
 impl Default for ReliableConfig {
     fn default() -> Self {
         ReliableConfig {
-            retransmit_after_ticks: 64,
+            retransmit_after_ticks: 500_000,
             window: 256,
             mode: RecoveryMode::SelectiveRepeat,
         }
     }
 }
 
+impl ReliableConfig {
+    /// How long an owed ack may wait for a reverse data datagram to carry
+    /// it before it leaves as a standalone frame.
+    pub fn ack_delay(&self) -> u64 {
+        self.retransmit_after_ticks / ACK_DELAY_DIVISOR
+    }
+
+    fn rto_cap(&self) -> u64 {
+        self.retransmit_after_ticks.saturating_mul(RTO_CAP_FACTOR)
+    }
+}
+
+/// RFC 6298 round-trip estimator of one TX channel.
+#[derive(Debug, Default)]
+struct RttEstimator {
+    /// Smoothed RTT (0 until the first sample).
+    srtt: u64,
+    /// RTT variation.
+    rttvar: u64,
+    sampled: bool,
+    /// Timeouts since the last cumulative progress; each doubles the RTO.
+    backoff: u32,
+}
+
+impl RttEstimator {
+    fn sample(&mut self, rtt: u64) {
+        if self.sampled {
+            self.rttvar = (3 * self.rttvar + self.srtt.abs_diff(rtt)) / 4;
+            self.srtt = (7 * self.srtt + rtt) / 8;
+        } else {
+            self.srtt = rtt;
+            self.rttvar = rtt / 2;
+            self.sampled = true;
+        }
+    }
+
+    /// SRTT + 4·RTTVAR clamped to `[floor, cap]` (the floor before any
+    /// sample), doubled per backoff step up to the cap.
+    fn rto(&self, floor: u64, cap: u64) -> u64 {
+        let base = self
+            .srtt
+            .saturating_add(self.rttvar.saturating_mul(4))
+            .clamp(floor, cap);
+        base.saturating_mul(1 << self.backoff.min(63)).min(cap)
+    }
+}
+
+/// A sent datagram awaiting its cumulative ack.
+#[derive(Debug)]
+struct InFlight {
+    seq: u64,
+    datagram: Datagram,
+    /// Clock reading at the first transmission.
+    sent_at: u64,
+    /// Advertised by a SACK bitmap: the receiver holds it buffered, so
+    /// selective repeat never re-sends it.
+    sacked: bool,
+    /// Sent more than once: its ack yields no RTT sample (Karn's rule),
+    /// and fast retransmit leaves it to the timer.
+    retransmitted: bool,
+    /// A hole below a sacked sequence, re-sent on the next tick.
+    fast: bool,
+}
+
 #[derive(Debug, Default)]
 struct PeerTx {
     next_seq: u64,
-    /// Unacknowledged datagrams, oldest first, as `(seq, datagram,
-    /// sacked)` — the per-peer retransmit buffer keyed by sequence. A
-    /// deque so cumulative acks retire from the front without shifting;
-    /// `sacked` marks entries the receiver has advertised out-of-order
-    /// (selective repeat skips them on timeout).
-    unacked: VecDeque<(u64, Datagram, bool)>,
-    ticks_since_progress: u64,
-    retransmissions: u64,
-    /// Frames acknowledged out-of-order via SACK bitmaps (each counted
-    /// once, at the unsacked → sacked transition).
-    sacked: u64,
+    /// Unacknowledged datagrams, oldest first — the per-peer retransmit
+    /// buffer keyed by sequence. A deque so cumulative acks retire from
+    /// the front without shifting.
+    unacked: VecDeque<InFlight>,
+    /// Clock reading when the retransmit timer was last armed: by a send
+    /// into an empty window, by cumulative progress, and by expiry.
+    armed_at: u64,
+    rtt: RttEstimator,
 }
 
 #[derive(Debug, Default)]
 struct PeerRx {
     /// Next expected sequence (everything below is delivered).
     expected: u64,
-    /// `true` when we owe the peer an ack that has not piggybacked yet.
-    ack_owed: bool,
+    /// Data datagrams received since an ack last went out, standalone or
+    /// piggybacked (0: no ack owed).
+    owed: u32,
+    /// Clock reading at which an owed ack leaves as a standalone frame.
+    ack_due: u64,
     /// Out-of-order datagrams buffered for selective repeat, keyed by
     /// sequence (all within `(expected, expected + SACK_SPAN]`). Ordered so
     /// SACK bitmaps and drain order are deterministic.
     ooo: BTreeMap<u64, Datagram>,
-    out_of_order_drops: u64,
-    duplicate_drops: u64,
-    /// Received data frames that carried no new information — duplicates
-    /// of delivered or buffered datagrams, and (under Go-Back-N) gap
-    /// discards: the receive-side measure of retransmission waste.
-    wasted_retransmits: u64,
 }
 
 /// Protocol statistics across all peers.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReliableStats {
-    /// Datagrams retransmitted.
+    /// Datagrams retransmitted: `fast_retransmits + timeout_retransmits`.
     pub retransmissions: u64,
     /// Out-of-order datagrams discarded on receive (under selective
     /// repeat, only those beyond the SACK bitmap's reach).
@@ -545,32 +628,57 @@ pub struct ReliableStats {
     /// Received data frames that added no new information (duplicates and
     /// gap discards): what the peer's retransmissions wasted on the wire.
     pub wasted_retransmits: u64,
+    /// Acks and SACKs sent as frames of their own, because no reverse
+    /// data datagram carried them in time.
+    pub standalone_acks: u64,
+    /// Holes re-sent at once because a SACK showed datagrams beyond them.
+    pub fast_retransmits: u64,
+    /// Datagrams re-sent by the retransmission timer, or by the shutdown
+    /// drain's final pass, which fires it early.
+    pub timeout_retransmits: u64,
+    /// Smoothed RTT of the channel that took the latest sample, in clock
+    /// units (nanoseconds under the engine); 0 before any sample.
+    pub srtt_ns: u64,
 }
 
-/// A lock-free mirror of [`ReliableStats`], shared between the engine
+/// The lock-free home of [`ReliableStats`], shared between the engine
 /// thread (which owns the [`ReliableTransport`]) and host-side telemetry
 /// collectors. Updated at every counting point, so host reads are always
 /// current without engine cooperation.
 #[derive(Debug, Default)]
 pub struct SharedReliableStats {
-    retransmissions: AtomicU64,
     out_of_order_drops: AtomicU64,
     duplicate_drops: AtomicU64,
     wire_drops: AtomicU64,
     sacked: AtomicU64,
     wasted_retransmits: AtomicU64,
+    standalone_acks: AtomicU64,
+    fast_retransmits: AtomicU64,
+    timeout_retransmits: AtomicU64,
+    srtt_ns: AtomicU64,
+}
+
+fn bump(counter: &AtomicU64) {
+    counter.fetch_add(1, Ordering::Relaxed);
 }
 
 impl SharedReliableStats {
-    /// Reads the mirrored counters.
+    /// Reads the counters.
     pub fn snapshot(&self) -> ReliableStats {
+        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let (fast_retransmits, timeout_retransmits) =
+            (get(&self.fast_retransmits), get(&self.timeout_retransmits));
         ReliableStats {
-            retransmissions: self.retransmissions.load(Ordering::Relaxed),
-            out_of_order_drops: self.out_of_order_drops.load(Ordering::Relaxed),
-            duplicate_drops: self.duplicate_drops.load(Ordering::Relaxed),
-            wire_drops: self.wire_drops.load(Ordering::Relaxed),
-            sacked: self.sacked.load(Ordering::Relaxed),
-            wasted_retransmits: self.wasted_retransmits.load(Ordering::Relaxed),
+            retransmissions: fast_retransmits + timeout_retransmits,
+            out_of_order_drops: get(&self.out_of_order_drops),
+            duplicate_drops: get(&self.duplicate_drops),
+            wire_drops: get(&self.wire_drops),
+            sacked: get(&self.sacked),
+            wasted_retransmits: get(&self.wasted_retransmits),
+            standalone_acks: get(&self.standalone_acks),
+            fast_retransmits,
+            timeout_retransmits,
+            srtt_ns: get(&self.srtt_ns),
         }
     }
 }
@@ -593,7 +701,8 @@ pub struct ReliableTransport {
     cfg: ReliableConfig,
     tx: HashMap<(NodeAddr, u16), PeerTx>,
     rx: HashMap<(NodeAddr, u16), PeerRx>,
-    wire_drops: u64,
+    /// `true` while some channel holds holes marked for fast retransmit.
+    fast_pending: bool,
     shared: Arc<SharedReliableStats>,
     /// Line vectors of datagrams retired from the window by acks, held for
     /// the engine to recycle into its [`crate::bufpool::BufPool`].
@@ -620,15 +729,15 @@ impl ReliableTransport {
             cfg,
             tx: HashMap::new(),
             rx: HashMap::new(),
-            wire_drops: 0,
+            fast_pending: false,
             shared: Arc::new(SharedReliableStats::default()),
             retired: Vec::new(),
             ready: VecDeque::new(),
         }
     }
 
-    /// A cloneable handle onto the lock-free stats mirror, safe to read
-    /// from any thread while the engine drives this state machine.
+    /// A cloneable handle onto the lock-free stats, safe to read from any
+    /// thread while the engine drives this state machine.
     pub fn shared_stats(&self) -> Arc<SharedReliableStats> {
         Arc::clone(&self.shared)
     }
@@ -655,8 +764,8 @@ impl ReliableTransport {
     ///
     /// Returns [`DaggerError::RingFull`] when the channel's send window is
     /// full; the caller should retry after acks arrive.
-    pub fn on_send(&mut self, datagram: Datagram) -> Result<TransportFrame> {
-        self.on_send_to(datagram, 0)
+    pub fn on_send(&mut self, datagram: Datagram, now: u64) -> Result<TransportFrame> {
+        self.on_send_to(datagram, 0, now)
     }
 
     /// [`ReliableTransport::on_send`] on the channel to `(dst, dst_queue)`.
@@ -665,20 +774,17 @@ impl ReliableTransport {
     ///
     /// Returns [`DaggerError::RingFull`] when the channel's send window is
     /// full; the caller should retry after acks arrive.
-    pub fn on_send_to(&mut self, datagram: Datagram, dst_queue: u16) -> Result<TransportFrame> {
-        let key = (datagram.dst, dst_queue);
-        if self
-            .tx
-            .get(&key)
-            .is_some_and(|t| t.unacked.len() >= self.cfg.window)
-        {
+    pub fn on_send_to(
+        &mut self,
+        datagram: Datagram,
+        dst_queue: u16,
+        now: u64,
+    ) -> Result<TransportFrame> {
+        if !self.window_available_to(datagram.dst, dst_queue) {
             return Err(DaggerError::RingFull);
         }
-        let ack = self.pending_ack(key);
-        let tx = self.tx.entry(key).or_default();
-        let seq = tx.next_seq;
-        tx.next_seq += 1;
-        tx.unacked.push_back((seq, datagram.clone(), false));
+        let (ack, sent) = self.sequence(datagram.clone(), dst_queue, now);
+        let seq = sent.seq;
         Ok(TransportFrame::Data {
             seq,
             ack,
@@ -699,9 +805,10 @@ impl ReliableTransport {
     pub fn on_send_encode(
         &mut self,
         datagram: Datagram,
+        now: u64,
         out: &mut Vec<u8>,
     ) -> std::result::Result<(), Datagram> {
-        self.send_encode_inner(datagram, 0, out, false)
+        self.on_send_encode_to(datagram, 0, now, out)
     }
 
     /// Zero-copy send on the channel to `(dst, dst_queue)`; see
@@ -714,99 +821,130 @@ impl ReliableTransport {
         &mut self,
         datagram: Datagram,
         dst_queue: u16,
+        now: u64,
         out: &mut Vec<u8>,
     ) -> std::result::Result<(), Datagram> {
-        self.send_encode_inner(datagram, dst_queue, out, false)
+        if !self.window_available_to(datagram.dst, dst_queue) {
+            return Err(datagram);
+        }
+        self.on_send_forced_encode_to(datagram, dst_queue, now, out);
+        Ok(())
     }
 
-    /// [`ReliableTransport::on_send_encode`] minus the window check: used
-    /// by the shutdown drain, where deferring is no longer an option and
-    /// the frame must reach the wire at least once.
-    pub fn on_send_forced_encode(&mut self, datagram: Datagram, out: &mut Vec<u8>) {
-        let _ = self.send_encode_inner(datagram, 0, out, true);
-    }
-
-    /// [`ReliableTransport::on_send_forced_encode`] on the channel to
-    /// `(dst, dst_queue)`.
+    /// [`ReliableTransport::on_send_encode_to`] minus the window check:
+    /// used by the shutdown drain, where deferring is no longer an option
+    /// and the frame must reach the wire at least once.
     pub fn on_send_forced_encode_to(
         &mut self,
         datagram: Datagram,
         dst_queue: u16,
+        now: u64,
         out: &mut Vec<u8>,
     ) {
-        let _ = self.send_encode_inner(datagram, dst_queue, out, true);
+        let local_queue = self.local_queue;
+        let (ack, sent) = self.sequence(datagram, dst_queue, now);
+        encode_data_into(sent.seq, ack, local_queue, &sent.datagram, out);
     }
 
-    fn send_encode_inner(
-        &mut self,
-        datagram: Datagram,
-        dst_queue: u16,
-        out: &mut Vec<u8>,
-        force: bool,
-    ) -> std::result::Result<(), Datagram> {
+    /// Assigns the next sequence on the channel to `(datagram.dst,
+    /// dst_queue)`, moves the datagram into the retransmit window (arming
+    /// the timer if the window was empty), and takes the piggybacked ack.
+    /// Returns the ack and the window entry.
+    fn sequence(&mut self, datagram: Datagram, dst_queue: u16, now: u64) -> (u64, &InFlight) {
         let key = (datagram.dst, dst_queue);
-        if !force && !self.window_available_to(key.0, key.1) {
-            return Err(datagram);
-        }
-        let local_queue = self.local_queue;
-        let ack = self.pending_ack(key);
+        let ack = self.piggyback_ack(key);
         let tx = self.tx.entry(key).or_default();
         let seq = tx.next_seq;
         tx.next_seq += 1;
-        encode_data_into(seq, ack, local_queue, &datagram, out);
-        tx.unacked.push_back((seq, datagram, false));
-        Ok(())
+        if tx.unacked.is_empty() {
+            tx.armed_at = now;
+        }
+        tx.unacked.push_back(InFlight {
+            seq,
+            datagram,
+            sent_at: now,
+            sacked: false,
+            retransmitted: false,
+            fast: false,
+        });
+        (ack, tx.unacked.back().expect("just pushed"))
     }
 
-    fn pending_ack(&mut self, channel: (NodeAddr, u16)) -> u64 {
+    /// The cumulative ack a data frame on `channel` carries. It settles an
+    /// owed plain ack; an owed SACK stays owed, because a data frame has
+    /// no room for the bitmap.
+    fn piggyback_ack(&mut self, channel: (NodeAddr, u16)) -> u64 {
         match self.rx.get_mut(&channel) {
             Some(rx) => {
-                rx.ack_owed = false;
+                if rx.ooo.is_empty() {
+                    rx.owed = 0;
+                }
                 rx.expected
             }
             None => 0,
         }
     }
 
-    fn apply_ack(&mut self, channel: (NodeAddr, u16), ack: u64) {
-        let retired = &mut self.retired;
-        if let Some(tx) = self.tx.get_mut(&channel) {
-            let mut progressed = false;
-            while tx.unacked.front().is_some_and(|&(seq, _, _)| seq < ack) {
-                let (_, datagram, _) = tx.unacked.pop_front().expect("front checked");
-                if retired.len() < RETIRED_CAP {
-                    retired.push(datagram.lines);
-                }
-                progressed = true;
+    /// Retires the cumulatively acked prefix. Progress re-arms the timer,
+    /// clears the backoff, and — when the newest retired datagram was sent
+    /// only once — feeds its round trip to the RTT estimator.
+    fn apply_ack(&mut self, channel: (NodeAddr, u16), ack: u64, now: u64) {
+        let Some(tx) = self.tx.get_mut(&channel) else {
+            return;
+        };
+        let mut newest = None;
+        while tx.unacked.front().is_some_and(|e| e.seq < ack) {
+            let e = tx.unacked.pop_front().expect("front checked");
+            newest = Some((e.sent_at, e.retransmitted));
+            if self.retired.len() < RETIRED_CAP {
+                self.retired.push(e.datagram.lines);
             }
-            if progressed {
-                tx.ticks_since_progress = 0;
-            }
+        }
+        let Some((sent_at, retransmitted)) = newest else {
+            return;
+        };
+        tx.armed_at = now;
+        tx.rtt.backoff = 0;
+        if !retransmitted {
+            tx.rtt.sample(now.saturating_sub(sent_at));
+            self.shared.srtt_ns.store(tx.rtt.srtt, Ordering::Relaxed);
         }
     }
 
     /// Applies a SACK: retires the cumulative prefix, then marks every
-    /// bitmap-advertised sequence so the retransmit timer skips it.
-    fn apply_sack(&mut self, channel: (NodeAddr, u16), ack: u64, bitmap: u64) {
-        self.apply_ack(channel, ack);
+    /// bitmap-advertised sequence so retransmission skips it. Under
+    /// selective repeat the never-retransmitted holes below the highest
+    /// sacked sequence are marked for fast retransmit on the next tick.
+    fn apply_sack(&mut self, channel: (NodeAddr, u16), ack: u64, bitmap: u64, now: u64) {
+        self.apply_ack(channel, ack, now);
         if bitmap == 0 {
             return;
         }
-        let shared = &self.shared;
-        if let Some(tx) = self.tx.get_mut(&channel) {
-            for bit in 0..SACK_SPAN {
-                if bitmap & (1 << bit) == 0 {
-                    continue;
+        let Some(tx) = self.tx.get_mut(&channel) else {
+            return;
+        };
+        for bit in 0..SACK_SPAN {
+            if bitmap & (1 << bit) == 0 {
+                continue;
+            }
+            // Saturating: `ack` comes off the wire.
+            let seq = ack.saturating_add(1 + bit);
+            let idx = tx.unacked.partition_point(|e| e.seq < seq);
+            if let Some(e) = tx.unacked.get_mut(idx) {
+                if e.seq == seq && !e.sacked {
+                    e.sacked = true;
+                    bump(&self.shared.sacked);
                 }
-                let seq = ack + 1 + bit;
-                let idx = tx.unacked.partition_point(|&(s, _, _)| s < seq);
-                if let Some(entry) = tx.unacked.get_mut(idx) {
-                    if entry.0 == seq && !entry.2 {
-                        entry.2 = true;
-                        tx.sacked += 1;
-                        shared.sacked.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
+            }
+        }
+        if self.cfg.mode != RecoveryMode::SelectiveRepeat {
+            return;
+        }
+        let highest = ack.saturating_add(SACK_SPAN - u64::from(bitmap.leading_zeros()));
+        for e in tx.unacked.iter_mut().take_while(|e| e.seq < highest) {
+            if !e.sacked && !e.retransmitted && !e.fast {
+                e.fast = true;
+                self.fast_pending = true;
             }
         }
     }
@@ -820,10 +958,10 @@ impl ReliableTransport {
         }
     }
 
-    /// Processes a received frame. Returns the datagram to deliver up the
-    /// stack, if the frame was the next in-order data frame. Under
-    /// selective repeat an in-order arrival can unblock buffered
-    /// successors: the caller must drain them through
+    /// Processes a frame received at `now`. Returns the datagram to
+    /// deliver up the stack, if the frame was the next in-order data
+    /// frame. Under selective repeat an in-order arrival can unblock
+    /// buffered successors: the caller must drain them through
     /// [`ReliableTransport::next_ready`] to preserve delivery order.
     ///
     /// # Errors
@@ -832,12 +970,11 @@ impl ReliableTransport {
     /// checksum does not match (corruption handled as loss — the frame is
     /// discarded and counted in `wire_drops`, and the retransmit timer
     /// repairs the stream).
-    pub fn on_recv(&mut self, bytes: &[u8]) -> Result<Option<Datagram>> {
+    pub fn on_recv(&mut self, bytes: &[u8], now: u64) -> Result<Option<Datagram>> {
         let frame = match TransportFrame::decode(bytes) {
             Ok(frame) => frame,
             Err(e) => {
-                self.wire_drops += 1;
-                self.shared.wire_drops.fetch_add(1, Ordering::Relaxed);
+                bump(&self.shared.wire_drops);
                 return Err(e);
             }
         };
@@ -850,7 +987,7 @@ impl ReliableTransport {
             } => {
                 // The ack's sender queue names which of our TX channels it
                 // acknowledges: we routed that traffic to (src, src_queue).
-                self.apply_ack((src, src_queue), ack);
+                self.apply_ack((src, src_queue), ack, now);
                 Ok(None)
             }
             TransportFrame::Sack {
@@ -860,7 +997,7 @@ impl ReliableTransport {
                 src_queue,
                 ..
             } => {
-                self.apply_sack((src, src_queue), ack, bitmap);
+                self.apply_sack((src, src_queue), ack, bitmap, now);
                 Ok(None)
             }
             TransportFrame::Data {
@@ -870,12 +1007,23 @@ impl ReliableTransport {
                 datagram,
             } => {
                 let channel = (datagram.src, src_queue);
-                self.apply_ack(channel, ack);
+                self.apply_ack(channel, ack, now);
                 let sr = self.cfg.mode == RecoveryMode::SelectiveRepeat;
+                let ack_delay = self.cfg.ack_delay();
                 let shared = &self.shared;
                 let ready = &mut self.ready;
                 let rx = self.rx.entry(channel).or_default();
-                rx.ack_owed = true;
+                // Anything but the next datagram of a gapless stream — a
+                // gap, a gap fill, a duplicate — is acked at once, as is
+                // every second datagram; otherwise the ack waits for reverse
+                // data to carry it.
+                let in_order = seq == rx.expected && rx.ooo.is_empty();
+                rx.owed = rx.owed.saturating_add(1);
+                rx.ack_due = if !in_order || rx.owed >= 2 {
+                    now
+                } else {
+                    now.saturating_add(ack_delay)
+                };
                 if seq == rx.expected {
                     rx.expected += 1;
                     // A filled gap releases the buffered run behind it.
@@ -885,31 +1033,24 @@ impl ReliableTransport {
                     }
                     Ok(Some(datagram))
                 } else if seq < rx.expected {
-                    rx.duplicate_drops += 1;
-                    rx.wasted_retransmits += 1;
-                    shared.duplicate_drops.fetch_add(1, Ordering::Relaxed);
-                    shared.wasted_retransmits.fetch_add(1, Ordering::Relaxed);
-                    // ack_owed re-acks so the sender advances.
+                    bump(&shared.duplicate_drops);
+                    bump(&shared.wasted_retransmits);
                     Ok(None)
                 } else if sr && seq - rx.expected <= SACK_SPAN {
                     // A gap, but within the SACK bitmap's reach: buffer the
                     // datagram and advertise it instead of discarding.
                     if rx.ooo.insert(seq, datagram).is_some() {
-                        rx.duplicate_drops += 1;
-                        rx.wasted_retransmits += 1;
-                        shared.duplicate_drops.fetch_add(1, Ordering::Relaxed);
-                        shared.wasted_retransmits.fetch_add(1, Ordering::Relaxed);
+                        bump(&shared.duplicate_drops);
+                        bump(&shared.wasted_retransmits);
                     }
                     Ok(None)
                 } else {
                     // A gap beyond repair here: under Go-Back-N every gap,
                     // under selective repeat only arrivals past the bitmap
                     // span. Discard and wait for retransmission.
-                    rx.out_of_order_drops += 1;
-                    shared.out_of_order_drops.fetch_add(1, Ordering::Relaxed);
+                    bump(&shared.out_of_order_drops);
                     if !sr {
-                        rx.wasted_retransmits += 1;
-                        shared.wasted_retransmits.fetch_add(1, Ordering::Relaxed);
+                        bump(&shared.wasted_retransmits);
                     }
                     Ok(None)
                 }
@@ -924,12 +1065,13 @@ impl ReliableTransport {
         self.ready.pop_front()
     }
 
-    /// Advances protocol timers by one engine tick. Returns frames to put
-    /// on the wire: standalone acks/sacks that did not piggyback, and
-    /// retransmissions for peers whose timer expired.
-    pub fn on_tick(&mut self) -> Vec<TransportFrame> {
+    /// Advances protocol timers to `now`. Returns frames to put on the
+    /// wire: owed acks/sacks whose delay expired, fast retransmissions of
+    /// sacked-past holes, and retransmissions for channels whose
+    /// retransmission timeout expired.
+    pub fn on_tick(&mut self, now: u64) -> Vec<TransportFrame> {
         let mut out = Vec::new();
-        self.on_tick_with(|view| out.push(view.to_owned_frame()));
+        self.on_tick_with(now, |view| out.push(view.to_owned_frame()));
         out
     }
 
@@ -937,83 +1079,92 @@ impl ReliableTransport {
     /// timer logic, but each outgoing frame is handed to `emit` as a
     /// borrowed [`FrameView`] so the engine can encode it straight into a
     /// pooled buffer. In the (common) idle tick nothing is built at all.
-    pub fn on_tick_with(&mut self, mut emit: impl FnMut(FrameView<'_>)) {
+    pub fn on_tick_with(&mut self, now: u64, mut emit: impl FnMut(FrameView<'_>)) {
         let local = self.local;
         let local_queue = self.local_queue;
-        // Standalone acks for quiet receive directions. The channel key's
-        // queue is the *peer's* sending queue — which is exactly where the
-        // ack must be routed, since that worker owns the TX window. When
+        let shared = &self.shared;
+        // Standalone acks whose delay ran out. The channel key's queue is
+        // the *peer's* sending queue — which is exactly where the ack must
+        // be routed, since that worker owns the TX window. When
         // out-of-order datagrams sit buffered, the ack upgrades to a SACK
         // advertising them.
         for (&(peer, peer_queue), rx) in self.rx.iter_mut() {
-            if rx.ack_owed {
-                rx.ack_owed = false;
-                let bitmap = sack_bitmap(rx);
-                if bitmap != 0 {
-                    emit(FrameView::Sack {
-                        ack: rx.expected,
-                        bitmap,
-                        src: local,
-                        dst: peer,
-                        src_queue: local_queue,
-                        dst_queue: peer_queue,
-                    });
-                } else {
-                    emit(FrameView::Ack {
-                        ack: rx.expected,
-                        src: local,
-                        dst: peer,
-                        src_queue: local_queue,
-                        dst_queue: peer_queue,
-                    });
-                }
+            if rx.owed == 0 || now < rx.ack_due {
+                continue;
+            }
+            rx.owed = 0;
+            bump(&shared.standalone_acks);
+            let bitmap = sack_bitmap(rx);
+            if bitmap != 0 {
+                emit(FrameView::Sack {
+                    ack: rx.expected,
+                    bitmap,
+                    src: local,
+                    dst: peer,
+                    src_queue: local_queue,
+                    dst_queue: peer_queue,
+                });
+            } else {
+                emit(FrameView::Ack {
+                    ack: rx.expected,
+                    src: local,
+                    dst: peer,
+                    src_queue: local_queue,
+                    dst_queue: peer_queue,
+                });
             }
         }
         // Retransmissions; the channel's cumulative ack is read directly
         // from the rx map (no per-tick scratch map).
         let sr = self.cfg.mode == RecoveryMode::SelectiveRepeat;
+        let (floor, cap) = (self.cfg.retransmit_after_ticks, self.cfg.rto_cap());
+        let fast = std::mem::take(&mut self.fast_pending);
         let rx_map = &self.rx;
         for (&(peer, peer_queue), tx) in self.tx.iter_mut() {
             if tx.unacked.is_empty() {
-                tx.ticks_since_progress = 0;
                 continue;
             }
-            tx.ticks_since_progress += 1;
-            if tx.ticks_since_progress >= self.cfg.retransmit_after_ticks {
-                tx.ticks_since_progress = 0;
-                let ack = rx_map.get(&(peer, peer_queue)).map_or(0, |rx| rx.expected);
-                let mut emitted = false;
-                for &(seq, ref datagram, sacked) in &tx.unacked {
-                    if sr && sacked {
-                        continue; // the receiver already holds this one
-                    }
-                    emitted = true;
-                    tx.retransmissions += 1;
-                    self.shared.retransmissions.fetch_add(1, Ordering::Relaxed);
-                    emit(FrameView::Data {
-                        seq,
-                        ack,
-                        src_queue: local_queue,
-                        dst_queue: peer_queue,
-                        datagram,
-                    });
+            let ack = rx_map.get(&(peer, peer_queue)).map_or(0, |rx| rx.expected);
+            let mut resend = |e: &mut InFlight, counter: &AtomicU64| {
+                e.retransmitted = true;
+                e.fast = false;
+                bump(counter);
+                emit(FrameView::Data {
+                    seq: e.seq,
+                    ack,
+                    src_queue: local_queue,
+                    dst_queue: peer_queue,
+                    datagram: &e.datagram,
+                });
+            };
+            if fast {
+                for e in tx.unacked.iter_mut().filter(|e| e.fast) {
+                    resend(e, &shared.fast_retransmits);
                 }
-                // Everything outstanding is sacked yet not cumulatively
-                // acked — the receiver's cumulative ack must have been
-                // lost. Probe with the head frame so the peer re-acks
-                // (its duplicate path sets ack_owed); never stall.
-                if !emitted {
-                    if let Some(&(seq, ref datagram, _)) = tx.unacked.front() {
-                        tx.retransmissions += 1;
-                        self.shared.retransmissions.fetch_add(1, Ordering::Relaxed);
-                        emit(FrameView::Data {
-                            seq,
-                            ack,
-                            src_queue: local_queue,
-                            dst_queue: peer_queue,
-                            datagram,
-                        });
-                    }
+            }
+            let rto = tx.rtt.rto(floor, cap);
+            if now.saturating_sub(tx.armed_at) < rto {
+                continue;
+            }
+            tx.armed_at = now;
+            if rto < cap {
+                tx.rtt.backoff += 1;
+            }
+            let mut emitted = false;
+            for e in tx.unacked.iter_mut() {
+                if sr && e.sacked {
+                    continue; // the receiver already holds this one
+                }
+                emitted = true;
+                resend(e, &shared.timeout_retransmits);
+            }
+            // Everything outstanding is sacked yet not cumulatively
+            // acked — the receiver's cumulative ack must have been
+            // lost. Probe with the head frame so the peer re-acks
+            // (its duplicate path owes an immediate ack); never stall.
+            if !emitted {
+                if let Some(head) = tx.unacked.front_mut() {
+                    resend(head, &shared.timeout_retransmits);
                 }
             }
         }
@@ -1028,23 +1179,19 @@ impl ReliableTransport {
         let local_queue = self.local_queue;
         let rx_map = &self.rx;
         for (&(peer, peer_queue), tx) in self.tx.iter_mut() {
-            if tx.unacked.is_empty() {
-                continue;
-            }
-            tx.ticks_since_progress = 0;
             let ack = rx_map.get(&(peer, peer_queue)).map_or(0, |rx| rx.expected);
-            for &(seq, ref datagram, sacked) in &tx.unacked {
-                if sr && sacked {
+            for e in tx.unacked.iter_mut() {
+                if sr && e.sacked {
                     continue; // already delivered to the peer's buffer
                 }
-                tx.retransmissions += 1;
-                self.shared.retransmissions.fetch_add(1, Ordering::Relaxed);
+                e.retransmitted = true;
+                bump(&self.shared.timeout_retransmits);
                 emit(FrameView::Data {
-                    seq,
+                    seq: e.seq,
                     ack,
                     src_queue: local_queue,
                     dst_queue: peer_queue,
-                    datagram,
+                    datagram: &e.datagram,
                 });
             }
         }
@@ -1069,32 +1216,21 @@ impl ReliableTransport {
 
     /// `true` when ticks are currently pure timer noise: nothing unacked,
     /// no ack owed, nothing retired, no released datagrams waiting. The
-    /// engine may park only then. (Buffered out-of-order datagrams alone
-    /// do not keep the receiver awake: the *sender's* timer owns the
-    /// repair, and its retransmission wakes this side through the fabric.)
+    /// engine may park only then; an owed ack keeps it ticking until the
+    /// ack piggybacks or its delay expires. (Buffered out-of-order
+    /// datagrams alone do not keep the receiver awake: the *sender's*
+    /// timer owns the repair, and its retransmission wakes this side
+    /// through the fabric.)
     pub fn is_idle(&self) -> bool {
         self.fully_acked()
             && self.retired.is_empty()
             && self.ready.is_empty()
-            && self.rx.values().all(|r| !r.ack_owed)
+            && self.rx.values().all(|r| r.owed == 0)
     }
 
     /// Aggregated statistics.
     pub fn stats(&self) -> ReliableStats {
-        let mut s = ReliableStats {
-            wire_drops: self.wire_drops,
-            ..ReliableStats::default()
-        };
-        for tx in self.tx.values() {
-            s.retransmissions += tx.retransmissions;
-            s.sacked += tx.sacked;
-        }
-        for rx in self.rx.values() {
-            s.out_of_order_drops += rx.out_of_order_drops;
-            s.duplicate_drops += rx.duplicate_drops;
-            s.wasted_retransmits += rx.wasted_retransmits;
-        }
-        s
+        self.shared.snapshot()
     }
 }
 
@@ -1183,14 +1319,14 @@ mod tests {
     fn corrupt_frames_counted_as_wire_drops() {
         let mut a = ReliableTransport::new(NodeAddr(1), ReliableConfig::default());
         let mut b = ReliableTransport::new(NodeAddr(2), ReliableConfig::default());
-        let mut bytes = a.on_send(dgram(1, 2, 0)).unwrap().encode();
+        let mut bytes = a.on_send(dgram(1, 2, 0), 0).unwrap().encode();
         bytes[30] ^= 0x01;
-        assert!(b.on_recv(&bytes).is_err());
+        assert!(b.on_recv(&bytes, 0).is_err());
         assert_eq!(b.stats().wire_drops, 1);
         assert_eq!(b.shared_stats().snapshot().wire_drops, 1);
         // The uncorrupted retransmission still delivers.
-        let clean = a.on_send(dgram(1, 2, 0)).unwrap(); // seq 1; seq 0 lost
-        assert!(b.on_recv(&clean.encode()).unwrap().is_none(), "gap held");
+        let clean = a.on_send(dgram(1, 2, 0), 0).unwrap(); // seq 1; seq 0 lost
+        assert!(b.on_recv(&clean.encode(), 0).unwrap().is_none(), "gap held");
     }
 
     #[test]
@@ -1198,13 +1334,13 @@ mod tests {
         let mut a = ReliableTransport::new(NodeAddr(1), ReliableConfig::default());
         let mut b = ReliableTransport::new(NodeAddr(2), ReliableConfig::default());
         for tag in 0..10u8 {
-            let frame = a.on_send(dgram(1, 2, tag)).unwrap();
-            let delivered = b.on_recv(&frame.encode()).unwrap().unwrap();
+            let frame = a.on_send(dgram(1, 2, tag), 0).unwrap();
+            let delivered = b.on_recv(&frame.encode(), 0).unwrap().unwrap();
             assert_eq!(tag_of(&delivered), tag);
         }
         // b owes acks; one tick flushes a standalone ack that clears a.
-        for frame in b.on_tick() {
-            a.on_recv(&frame.encode()).unwrap();
+        for frame in b.on_tick(0) {
+            a.on_recv(&frame.encode(), 0).unwrap();
         }
         assert!(a.fully_acked());
         assert_eq!(a.stats().retransmissions, 0);
@@ -1222,22 +1358,22 @@ mod tests {
         // Send 0..5; frame 2 is lost in transit.
         let mut delivered = Vec::new();
         for tag in 0..5u8 {
-            let frame = a.on_send(dgram(1, 2, tag)).unwrap();
+            let frame = a.on_send(dgram(1, 2, tag), 0).unwrap();
             if tag == 2 {
                 continue; // dropped by the network
             }
-            if let Some(d) = b.on_recv(&frame.encode()).unwrap() {
+            if let Some(d) = b.on_recv(&frame.encode(), 0).unwrap() {
                 delivered.push(tag_of(&d));
             }
         }
         assert_eq!(delivered, vec![0, 1], "gap stalls in-order delivery");
         // Exchange ticks until the retransmission repairs the stream.
-        for _ in 0..6 {
-            for frame in b.on_tick() {
-                a.on_recv(&frame.encode()).unwrap();
+        for now in 1..=6 {
+            for frame in b.on_tick(now) {
+                a.on_recv(&frame.encode(), now).unwrap();
             }
-            for frame in a.on_tick() {
-                if let Some(d) = b.on_recv(&frame.encode()).unwrap() {
+            for frame in a.on_tick(now) {
+                if let Some(d) = b.on_recv(&frame.encode(), now).unwrap() {
                     delivered.push(tag_of(&d));
                 }
             }
@@ -1245,8 +1381,8 @@ mod tests {
         assert_eq!(delivered, vec![0, 1, 2, 3, 4], "all repaired in order");
         assert!(a.stats().retransmissions > 0);
         // Final ack exchange clears the sender.
-        for frame in b.on_tick() {
-            a.on_recv(&frame.encode()).unwrap();
+        for frame in b.on_tick(7) {
+            a.on_recv(&frame.encode(), 7).unwrap();
         }
         assert!(a.fully_acked());
     }
@@ -1255,9 +1391,9 @@ mod tests {
     fn duplicates_are_suppressed() {
         let mut a = ReliableTransport::new(NodeAddr(1), ReliableConfig::default());
         let mut b = ReliableTransport::new(NodeAddr(2), ReliableConfig::default());
-        let frame = a.on_send(dgram(1, 2, 7)).unwrap().encode();
-        assert!(b.on_recv(&frame).unwrap().is_some());
-        assert!(b.on_recv(&frame).unwrap().is_none(), "duplicate dropped");
+        let frame = a.on_send(dgram(1, 2, 7), 0).unwrap().encode();
+        assert!(b.on_recv(&frame, 0).unwrap().is_some());
+        assert!(b.on_recv(&frame, 0).unwrap().is_none(), "duplicate dropped");
         assert_eq!(b.stats().duplicate_drops, 1);
     }
 
@@ -1269,27 +1405,29 @@ mod tests {
             mode: RecoveryMode::SelectiveRepeat,
         };
         let mut a = ReliableTransport::new(NodeAddr(1), cfg);
-        a.on_send(dgram(1, 2, 0)).unwrap();
-        a.on_send(dgram(1, 2, 1)).unwrap();
-        assert_eq!(a.on_send(dgram(1, 2, 2)), Err(DaggerError::RingFull));
+        a.on_send(dgram(1, 2, 0), 0).unwrap();
+        a.on_send(dgram(1, 2, 1), 0).unwrap();
+        assert_eq!(a.on_send(dgram(1, 2, 2), 0), Err(DaggerError::RingFull));
     }
 
     #[test]
     fn piggybacked_acks_clear_reverse_path() {
-        let mut a = ReliableTransport::new(NodeAddr(1), ReliableConfig::default());
-        let mut b = ReliableTransport::new(NodeAddr(2), ReliableConfig::default());
+        let cfg = ReliableConfig::default();
+        let mut a = ReliableTransport::new(NodeAddr(1), cfg);
+        let mut b = ReliableTransport::new(NodeAddr(2), cfg);
         // a -> b data; b's reply piggybacks the ack.
-        let f1 = a.on_send(dgram(1, 2, 0)).unwrap();
-        b.on_recv(&f1.encode()).unwrap().unwrap();
-        let reply = b.on_send(dgram(2, 1, 9)).unwrap();
+        let f1 = a.on_send(dgram(1, 2, 0), 0).unwrap();
+        b.on_recv(&f1.encode(), 0).unwrap().unwrap();
+        let reply = b.on_send(dgram(2, 1, 9), 0).unwrap();
         match reply {
             TransportFrame::Data { ack, .. } => assert_eq!(ack, 1, "piggybacked"),
             _ => panic!("expected data frame"),
         }
-        a.on_recv(&reply.encode()).unwrap().unwrap();
+        a.on_recv(&reply.encode(), 0).unwrap().unwrap();
         assert!(a.fully_acked());
-        // And b should not need a standalone ack anymore.
-        assert!(b.on_tick().is_empty());
+        // And b should not need a standalone ack anymore, even once the
+        // ack delay has run out.
+        assert!(b.on_tick(cfg.ack_delay()).is_empty());
     }
 
     #[test]
@@ -1305,14 +1443,14 @@ mod tests {
         let mut b = ReliableTransport::new(NodeAddr(2), cfg);
         let shared_a = a.shared_stats();
         let shared_b = b.shared_stats();
-        let frame = a.on_send(dgram(1, 2, 0)).unwrap().encode();
-        b.on_recv(&frame).unwrap().unwrap();
-        b.on_recv(&frame).unwrap(); // duplicate
-                                    // Skip frame 1 so frame 2 arrives out of order at b.
-        let _lost = a.on_send(dgram(1, 2, 1)).unwrap();
-        let f2 = a.on_send(dgram(1, 2, 2)).unwrap().encode();
-        b.on_recv(&f2).unwrap();
-        a.on_tick(); // timer expires -> go-back-N retransmits
+        let frame = a.on_send(dgram(1, 2, 0), 0).unwrap().encode();
+        b.on_recv(&frame, 0).unwrap().unwrap();
+        b.on_recv(&frame, 0).unwrap(); // duplicate
+                                       // Skip frame 1 so frame 2 arrives out of order at b.
+        let _lost = a.on_send(dgram(1, 2, 1), 0).unwrap();
+        let f2 = a.on_send(dgram(1, 2, 2), 0).unwrap().encode();
+        b.on_recv(&f2, 0).unwrap();
+        a.on_tick(1); // timer expires -> go-back-N retransmits
         let mirror_a = shared_a.snapshot();
         let mirror_b = shared_b.snapshot();
         assert_eq!(mirror_a, a.stats(), "mirror matches owner view");
@@ -1325,8 +1463,8 @@ mod tests {
     #[test]
     fn sessions_are_per_peer() {
         let mut a = ReliableTransport::new(NodeAddr(1), ReliableConfig::default());
-        let f_to_2 = a.on_send(dgram(1, 2, 0)).unwrap();
-        let f_to_3 = a.on_send(dgram(1, 3, 0)).unwrap();
+        let f_to_2 = a.on_send(dgram(1, 2, 0), 0).unwrap();
+        let f_to_3 = a.on_send(dgram(1, 3, 0), 0).unwrap();
         match (f_to_2, f_to_3) {
             (TransportFrame::Data { seq: s2, .. }, TransportFrame::Data { seq: s3, .. }) => {
                 assert_eq!(s2, 0);
@@ -1341,8 +1479,8 @@ mod tests {
         // One sender worker talking to two queues of the same peer NIC:
         // each (peer, queue) channel owns an independent sequence space.
         let mut a = ReliableTransport::new_on_queue(NodeAddr(1), 2, ReliableConfig::default());
-        let f_q0 = a.on_send_to(dgram(1, 2, 0), 0).unwrap();
-        let f_q3 = a.on_send_to(dgram(1, 2, 1), 3).unwrap();
+        let f_q0 = a.on_send_to(dgram(1, 2, 0), 0, 0).unwrap();
+        let f_q3 = a.on_send_to(dgram(1, 2, 1), 3, 0).unwrap();
         match (&f_q0, &f_q3) {
             (
                 TransportFrame::Data {
@@ -1374,17 +1512,19 @@ mod tests {
         let mut a0 = ReliableTransport::new_on_queue(NodeAddr(1), 0, cfg);
         let mut a1 = ReliableTransport::new_on_queue(NodeAddr(1), 1, cfg);
         let mut b = ReliableTransport::new(NodeAddr(2), cfg);
-        let f0 = a0.on_send_to(dgram(1, 2, 10), 0).unwrap().encode();
-        let f1 = a1.on_send_to(dgram(1, 2, 20), 0).unwrap().encode();
-        let d0 = b.on_recv(&f0).unwrap().expect("queue-0 frame delivers");
-        let d1 = b.on_recv(&f1).unwrap().expect("queue-1 frame delivers");
+        let f0 = a0.on_send_to(dgram(1, 2, 10), 0, 0).unwrap().encode();
+        let f1 = a1.on_send_to(dgram(1, 2, 20), 0, 0).unwrap().encode();
+        let d0 = b.on_recv(&f0, 0).unwrap().expect("queue-0 frame delivers");
+        let d1 = b.on_recv(&f1, 0).unwrap().expect("queue-1 frame delivers");
         assert_eq!((tag_of(&d0), tag_of(&d1)), (10, 20));
         assert_eq!(b.stats().duplicate_drops, 0);
         assert_eq!(b.stats().out_of_order_drops, 0);
-        // b owes acks on both channels; each standalone ack names the
-        // sender queue it acknowledges and routes back to it.
+        // b owes acks on both channels; once the ack delay expires each
+        // standalone ack names the sender queue it acknowledges and routes
+        // back to it.
+        let due = cfg.ack_delay();
         let mut acks = Vec::new();
-        b.on_tick_with(|view| match view {
+        b.on_tick_with(due, |view| match view {
             FrameView::Ack {
                 src_queue,
                 dst_queue,
@@ -1400,12 +1540,12 @@ mod tests {
         );
         // Applying each ack clears exactly the matching worker's window.
         let mut ack_bytes = Vec::new();
-        b.on_tick(); // nothing further owed
+        b.on_tick(due); // nothing further owed
         encode_ack_into(1, NodeAddr(2), NodeAddr(1), 0, &mut ack_bytes);
-        a0.on_recv(&ack_bytes).unwrap();
+        a0.on_recv(&ack_bytes, due).unwrap();
         assert!(a0.fully_acked(), "worker 0 cleared");
         assert!(!a1.fully_acked(), "worker 1 still waiting");
-        a1.on_recv(&ack_bytes).unwrap();
+        a1.on_recv(&ack_bytes, due).unwrap();
         assert!(a1.fully_acked(), "same channel key (2, 0) at worker 1");
     }
 
@@ -1428,6 +1568,15 @@ mod tests {
         }
     }
 
+    fn recv_all(b: &mut ReliableTransport, bytes: &[u8], now: u64, delivered: &mut Vec<u8>) {
+        if let Some(d) = b.on_recv(bytes, now).unwrap() {
+            delivered.push(tag_of(&d));
+            while let Some(d) = b.next_ready() {
+                delivered.push(tag_of(&d));
+            }
+        }
+    }
+
     /// The headline selective-repeat property: one lost datagram costs one
     /// retransmission, the buffered successors are never re-sent, and
     /// delivery order is preserved through the ready queue.
@@ -1441,28 +1590,20 @@ mod tests {
         let mut a = ReliableTransport::new(NodeAddr(1), cfg);
         let mut b = ReliableTransport::new(NodeAddr(2), cfg);
         let mut delivered = Vec::new();
-        fn recv(b: &mut ReliableTransport, bytes: &[u8], delivered: &mut Vec<u8>) {
-            if let Some(d) = b.on_recv(bytes).unwrap() {
-                delivered.push(tag_of(&d));
-                while let Some(d) = b.next_ready() {
-                    delivered.push(tag_of(&d));
-                }
-            }
-        }
         for tag in 0..5u8 {
-            let frame = a.on_send(dgram(1, 2, tag)).unwrap();
+            let frame = a.on_send(dgram(1, 2, tag), 0).unwrap();
             if tag == 2 {
                 continue; // dropped by the network
             }
-            recv(&mut b, &frame.encode(), &mut delivered);
+            recv_all(&mut b, &frame.encode(), 0, &mut delivered);
         }
         assert_eq!(delivered, vec![0, 1], "gap stalls in-order delivery");
-        for _ in 0..4 {
-            for frame in b.on_tick() {
-                a.on_recv(&frame.encode()).unwrap();
+        for now in 1..=4 {
+            for frame in b.on_tick(now) {
+                a.on_recv(&frame.encode(), now).unwrap();
             }
-            for frame in a.on_tick() {
-                recv(&mut b, &frame.encode(), &mut delivered);
+            for frame in a.on_tick(now) {
+                recv_all(&mut b, &frame.encode(), now, &mut delivered);
             }
         }
         assert_eq!(delivered, vec![0, 1, 2, 3, 4], "repaired in order");
@@ -1474,8 +1615,8 @@ mod tests {
         assert_eq!(a.stats().sacked, 2, "frames 3 and 4 advertised via SACK");
         assert_eq!(b.stats().out_of_order_drops, 0, "successors were buffered");
         assert_eq!(b.stats().wasted_retransmits, 0, "nothing arrived twice");
-        for frame in b.on_tick() {
-            a.on_recv(&frame.encode()).unwrap();
+        for frame in b.on_tick(5) {
+            a.on_recv(&frame.encode(), 5).unwrap();
         }
         assert!(a.fully_acked());
         // The lock-free mirrors agree with the owner views, new counters
@@ -1490,25 +1631,25 @@ mod tests {
         let mut b = ReliableTransport::new(NodeAddr(2), ReliableConfig::default());
         let mut frames = Vec::new();
         for tag in 0..=(SACK_SPAN as usize + 1) {
-            frames.push(a.on_send(dgram(1, 2, tag as u8)).unwrap().encode());
+            frames.push(a.on_send(dgram(1, 2, tag as u8), 0).unwrap().encode());
         }
         // Frame 0 is lost; everything within (0, SACK_SPAN] buffers...
         for frame in &frames[1..=SACK_SPAN as usize] {
-            assert!(b.on_recv(frame).unwrap().is_none());
+            assert!(b.on_recv(frame, 0).unwrap().is_none());
         }
         assert_eq!(b.stats().out_of_order_drops, 0);
         // ...but SACK_SPAN + 1 is beyond the bitmap's reach: dropped.
         assert!(b
-            .on_recv(&frames[SACK_SPAN as usize + 1])
+            .on_recv(&frames[SACK_SPAN as usize + 1], 0)
             .unwrap()
             .is_none());
         assert_eq!(b.stats().out_of_order_drops, 1);
         // A duplicate of a buffered frame is wasted wire, not a new buffer.
-        assert!(b.on_recv(&frames[1]).unwrap().is_none());
+        assert!(b.on_recv(&frames[1], 0).unwrap().is_none());
         assert_eq!(b.stats().duplicate_drops, 1);
         assert_eq!(b.stats().wasted_retransmits, 1);
         // The gap fill releases the whole buffered run in order.
-        let head = b.on_recv(&frames[0]).unwrap().expect("gap filled");
+        let head = b.on_recv(&frames[0], 0).unwrap().expect("gap filled");
         let mut tags = vec![tag_of(&head)];
         while let Some(d) = b.next_ready() {
             tags.push(tag_of(&d));
@@ -1529,18 +1670,18 @@ mod tests {
             mode: RecoveryMode::SelectiveRepeat,
         };
         let mut a = ReliableTransport::new(NodeAddr(1), cfg);
-        a.on_send(dgram(1, 2, 0)).unwrap();
-        a.on_send(dgram(1, 2, 1)).unwrap();
+        a.on_send(dgram(1, 2, 0), 0).unwrap();
+        a.on_send(dgram(1, 2, 1), 0).unwrap();
         let mut ack = Vec::new();
         encode_ack_into(1, NodeAddr(2), NodeAddr(1), 0, &mut ack);
-        a.on_recv(&ack).unwrap(); // retires seq 0
+        a.on_recv(&ack, 0).unwrap(); // retires seq 0
         let mut sack = Vec::new();
         encode_sack_into(0, 0b1, NodeAddr(2), NodeAddr(1), 0, &mut sack);
-        a.on_recv(&sack).unwrap(); // stale: marks seq 1 sacked
+        a.on_recv(&sack, 0).unwrap(); // stale: marks seq 1 sacked
         assert!(!a.fully_acked());
         let mut probed = Vec::new();
-        for _ in 0..2 {
-            for frame in a.on_tick() {
+        for now in 1..=2 {
+            for frame in a.on_tick(now) {
                 if let TransportFrame::Data { seq, .. } = frame {
                     probed.push(seq);
                 }
@@ -1558,9 +1699,12 @@ mod tests {
         };
         let mut a = ReliableTransport::new(NodeAddr(1), cfg);
         let mut b = ReliableTransport::new(NodeAddr(2), cfg);
-        let _lost = a.on_send(dgram(1, 2, 0)).unwrap();
-        let f1 = a.on_send(dgram(1, 2, 1)).unwrap();
-        assert!(b.on_recv(&f1.encode()).unwrap().is_none(), "gap discards");
+        let _lost = a.on_send(dgram(1, 2, 0), 0).unwrap();
+        let f1 = a.on_send(dgram(1, 2, 1), 0).unwrap();
+        assert!(
+            b.on_recv(&f1.encode(), 0).unwrap().is_none(),
+            "gap discards"
+        );
         assert_eq!(b.stats().out_of_order_drops, 1);
         assert_eq!(
             b.stats().wasted_retransmits,
@@ -1568,5 +1712,199 @@ mod tests {
             "a GBN gap discard is wasted wire"
         );
         assert_eq!(b.stats().sacked, 0, "GBN never sacks");
+    }
+
+    /// Sends one datagram from `a` at time 0, ticks `a` 10 000 times spread
+    /// evenly over `[0, last_tick]`, then lands `b`'s ack at `ack_at` and
+    /// ticks `a` once more. Returns `a`'s stats.
+    fn one_datagram_with_late_ack(last_tick: u64, ack_at: u64) -> ReliableStats {
+        let cfg = ReliableConfig::default();
+        let mut a = ReliableTransport::new(NodeAddr(1), cfg);
+        let mut b = ReliableTransport::new(NodeAddr(2), cfg);
+        let first = a.on_send(dgram(1, 2, 0), 0).unwrap();
+        b.on_recv(&first.encode(), 0).unwrap().unwrap();
+        let mut resent = Vec::new();
+        for i in 0..10_000u64 {
+            resent.extend(a.on_tick(i * last_tick / 9_999));
+        }
+        for frame in resent {
+            // The retransmitted copy reaches b as a duplicate.
+            assert!(b.on_recv(&frame.encode(), ack_at).unwrap().is_none());
+        }
+        let acks = b.on_tick(ack_at);
+        assert_eq!(acks.len(), 1, "b owes exactly one standalone ack");
+        a.on_recv(&acks[0].encode(), ack_at).unwrap();
+        assert!(a.fully_acked());
+        assert!(a.on_tick(ack_at).is_empty(), "an acked channel stays quiet");
+        a.stats()
+    }
+
+    /// Regression test for spurious retransmissions: the old timer counted
+    /// engine ticks, so a busy engine fired it long before one RTT had
+    /// passed. On the clock, any number of ticks inside one RTO re-sends
+    /// nothing, and an ack that misses the RTO costs exactly one copy.
+    #[test]
+    fn ticks_inside_the_rto_never_retransmit() {
+        let rto = ReliableConfig::default().retransmit_after_ticks;
+        let s = one_datagram_with_late_ack(rto - 1, rto - 1);
+        assert_eq!(s.retransmissions, 0, "10 000 ticks inside one RTO");
+        assert_eq!(s.timeout_retransmits, 0);
+
+        let s = one_datagram_with_late_ack(rto, rto + 1);
+        assert_eq!(s.retransmissions, 1, "the ack landed after the RTO");
+        assert_eq!(s.timeout_retransmits, 1);
+        assert_eq!(s.fast_retransmits, 0);
+    }
+
+    #[test]
+    fn sack_hole_is_resent_before_the_rto() {
+        let cfg = ReliableConfig::default();
+        let mut a = ReliableTransport::new(NodeAddr(1), cfg);
+        let mut b = ReliableTransport::new(NodeAddr(2), cfg);
+        let frames: Vec<Vec<u8>> = (0..3u8)
+            .map(|tag| a.on_send(dgram(1, 2, tag), 0).unwrap().encode())
+            .collect();
+        // Frame 0 is lost; 1 and 2 open a gap, so b SACKs at once.
+        let mut delivered = Vec::new();
+        for frame in &frames[1..] {
+            recv_all(&mut b, frame, 1, &mut delivered);
+        }
+        let sacks = b.on_tick(1);
+        assert!(matches!(
+            sacks.as_slice(),
+            [TransportFrame::Sack {
+                ack: 0,
+                bitmap: 0b11,
+                ..
+            }]
+        ));
+        a.on_recv(&sacks[0].encode(), 2).unwrap();
+        // The hole goes out on the very next tick, far inside the RTO.
+        let resent = a.on_tick(3);
+        assert!(3 < cfg.retransmit_after_ticks);
+        assert!(matches!(
+            resent.as_slice(),
+            [TransportFrame::Data { seq: 0, .. }]
+        ));
+        recv_all(&mut b, &resent[0].encode(), 4, &mut delivered);
+        assert_eq!(delivered, vec![0, 1, 2]);
+        let s = a.stats();
+        assert_eq!((s.fast_retransmits, s.timeout_retransmits), (1, 0));
+        assert_eq!(s.retransmissions, 1);
+        // The same SACK arriving again re-sends nothing more.
+        a.on_recv(&sacks[0].encode(), 5).unwrap();
+        assert!(a.on_tick(6).is_empty());
+    }
+
+    #[test]
+    fn hostile_sack_at_the_top_of_the_sequence_space_is_harmless() {
+        let mut a = ReliableTransport::new(NodeAddr(1), ReliableConfig::default());
+        a.on_send(dgram(1, 2, 0), 0).unwrap();
+        let mut sack = Vec::new();
+        encode_sack_into(u64::MAX, u64::MAX, NodeAddr(2), NodeAddr(1), 0, &mut sack);
+        a.on_recv(&sack, 1).unwrap();
+        assert!(a.fully_acked(), "the cumulative ack retired everything");
+        assert!(a.on_tick(2).is_empty());
+    }
+
+    #[test]
+    fn go_back_n_never_fast_retransmits() {
+        let cfg = ReliableConfig {
+            mode: RecoveryMode::GoBackN,
+            ..ReliableConfig::default()
+        };
+        let mut a = ReliableTransport::new(NodeAddr(1), cfg);
+        a.on_send(dgram(1, 2, 0), 0).unwrap();
+        a.on_send(dgram(1, 2, 1), 0).unwrap();
+        let mut sack = Vec::new();
+        encode_sack_into(0, 0b1, NodeAddr(2), NodeAddr(1), 0, &mut sack);
+        a.on_recv(&sack, 1).unwrap();
+        assert!(a.on_tick(2).is_empty(), "GBN repairs on timeout only");
+        assert_eq!(a.stats().fast_retransmits, 0);
+    }
+
+    #[test]
+    fn owed_ack_waits_for_piggyback_or_delay() {
+        let cfg = ReliableConfig::default();
+        let delay = cfg.ack_delay();
+        let mut a = ReliableTransport::new(NodeAddr(1), cfg);
+        let mut b = ReliableTransport::new(NodeAddr(2), cfg);
+        // One datagram: the ack waits out the delay, then goes standalone.
+        let f = a.on_send(dgram(1, 2, 0), 0).unwrap();
+        b.on_recv(&f.encode(), 0).unwrap().unwrap();
+        assert!(!b.is_idle(), "an owed ack keeps the engine ticking");
+        assert!(b.on_tick(delay - 1).is_empty(), "held for piggyback");
+        let acks = b.on_tick(delay);
+        assert!(matches!(
+            acks.as_slice(),
+            [TransportFrame::Ack { ack: 1, .. }]
+        ));
+        assert!(b.is_idle());
+        a.on_recv(&acks[0].encode(), delay).unwrap();
+        assert!(a.fully_acked());
+        // A second datagram arriving unacknowledged is acked at once.
+        for tag in 1..3u8 {
+            let f = a.on_send(dgram(1, 2, tag), delay).unwrap();
+            b.on_recv(&f.encode(), delay).unwrap().unwrap();
+        }
+        let acks = b.on_tick(delay);
+        assert!(matches!(
+            acks.as_slice(),
+            [TransportFrame::Ack { ack: 3, .. }]
+        ));
+        // Reverse data carries the ack and no standalone frame follows.
+        let f = a.on_send(dgram(1, 2, 3), delay).unwrap();
+        b.on_recv(&f.encode(), delay).unwrap().unwrap();
+        match b.on_send(dgram(2, 1, 9), delay).unwrap() {
+            TransportFrame::Data { ack, .. } => assert_eq!(ack, 4),
+            _ => panic!("expected data frame"),
+        }
+        assert!(b.on_tick(3 * delay).is_empty());
+        assert_eq!(b.stats().standalone_acks, 2);
+    }
+
+    /// RTO = SRTT + 4·RTTVAR from samples; each timeout doubles it up to
+    /// the cap; a retransmitted datagram's ack yields no sample.
+    #[test]
+    fn rto_is_estimated_backed_off_and_capped() {
+        let cfg = ReliableConfig {
+            retransmit_after_ticks: 100,
+            window: 64,
+            mode: RecoveryMode::SelectiveRepeat,
+        };
+        let mut a = ReliableTransport::new(NodeAddr(1), cfg);
+        let mut b = ReliableTransport::new(NodeAddr(2), cfg);
+        // Every ack is lost: the timeouts land at doubling gaps from the
+        // 100-unit floor to the 6400-unit cap.
+        let f = a.on_send(dgram(1, 2, 0), 0).unwrap();
+        let mut fired = Vec::new();
+        for now in 1..=20_000 {
+            if !a.on_tick(now).is_empty() {
+                fired.push(now);
+            }
+        }
+        let gaps: Vec<u64> = std::iter::once(fired[0])
+            .chain(fired.windows(2).map(|w| w[1] - w[0]))
+            .collect();
+        assert_eq!(gaps, vec![100, 200, 400, 800, 1600, 3200, 6400, 6400]);
+        // Karn's rule: acking the retransmitted datagram samples nothing.
+        b.on_recv(&f.encode(), 20_000).unwrap().unwrap();
+        let acked_at = 20_000 + cfg.ack_delay();
+        for ack in b.on_tick(acked_at) {
+            a.on_recv(&ack.encode(), acked_at).unwrap();
+        }
+        assert!(a.fully_acked());
+        assert_eq!(a.stats().srtt_ns, 0, "no sample from a retransmission");
+        // A clean exchange with a 1000-unit round trip is sampled, and the
+        // next timeout follows SRTT + 4·RTTVAR = 1000 + 4·500 = 3000.
+        let f = a.on_send(dgram(1, 2, 1), 30_000).unwrap();
+        b.on_recv(&f.encode(), 30_500).unwrap().unwrap();
+        for ack in b.on_tick(31_000) {
+            a.on_recv(&ack.encode(), 31_000).unwrap();
+        }
+        assert_eq!(a.stats().srtt_ns, 1000);
+        a.on_send(dgram(1, 2, 2), 31_000).unwrap();
+        assert!(a.on_tick(33_999).is_empty());
+        assert_eq!(a.on_tick(34_000).len(), 1);
     }
 }

@@ -445,11 +445,13 @@ fn chaos_replay_equivalence() {
         let mut order = Vec::new();
         let mut sent = 0usize;
         let mut steps = 0u32;
-        // One loop iteration = one deterministic event round: send if the
+        // One loop iteration = one deterministic event round on a
+        // synthetic clock that advances one unit per round: send if the
         // window is open, drain B (delivering), tick B (acks), drain A
         // (acks), tick A (go-back-N retransmits).
         while order.len() < TOTAL || !ta.fully_acked() {
             steps += 1;
+            let now = u64::from(steps);
             assert!(
                 steps < 200_000,
                 "[replay seed={seed} {label}] driver wedged at {}/{TOTAL} deliveries",
@@ -458,23 +460,23 @@ fn chaos_replay_equivalence() {
             if sent < TOTAL && ta.window_available(NodeAddr(2)) {
                 let payload = CacheLine::from_bytes([sent as u8; 64]);
                 let frame = ta
-                    .on_send(Datagram::new(NodeAddr(1), NodeAddr(2), vec![payload]))
+                    .on_send(Datagram::new(NodeAddr(1), NodeAddr(2), vec![payload]), now)
                     .unwrap();
                 pa.send(NodeAddr(2), frame.encode()).unwrap();
                 sent += 1;
             }
             while let Some(bytes) = pb.try_recv() {
-                if let Ok(Some(datagram)) = tb.on_recv(&bytes) {
+                if let Ok(Some(datagram)) = tb.on_recv(&bytes, now) {
                     order.push(datagram.lines[0].as_bytes()[0]);
                 }
             }
-            for frame in tb.on_tick() {
+            for frame in tb.on_tick(now) {
                 pb.send(frame.as_view().dst(), frame.encode()).unwrap();
             }
             while let Some(bytes) = pa.try_recv() {
-                let _ = ta.on_recv(&bytes);
+                let _ = ta.on_recv(&bytes, now);
             }
-            for frame in ta.on_tick() {
+            for frame in ta.on_tick(now) {
                 pa.send(frame.as_view().dst(), frame.encode()).unwrap();
             }
         }
@@ -482,11 +484,12 @@ fn chaos_replay_equivalence() {
         // consumes no fault randomness) and absorb the stragglers so the
         // duplicate/out-of-order counters are final.
         fabric.quiesce();
+        let now = u64::from(steps) + 1;
         while let Some(bytes) = pb.try_recv() {
-            let _ = tb.on_recv(&bytes);
+            let _ = tb.on_recv(&bytes, now);
         }
         while let Some(bytes) = pa.try_recv() {
-            let _ = ta.on_recv(&bytes);
+            let _ = ta.on_recv(&bytes, now);
         }
         (order, fabric.fault_stats(), ta.stats(), tb.stats())
     };
@@ -556,12 +559,13 @@ fn chaos_selective_repeat_beats_go_back_n_5x() {
         let mut order: Vec<u16> = Vec::new();
         let mut sent = 0usize;
         let mut steps = 0u32;
-        // One iteration = one event round; the sender keeps the 64-wide
-        // window as full as the plan allows so a single gap forces
-        // Go-Back-N to re-send a deep window while selective repeat
-        // resends only the hole.
+        // One iteration = one event round and one unit of the synthetic
+        // clock; the sender keeps the 64-wide window as full as the plan
+        // allows so a single gap forces Go-Back-N to re-send a deep window
+        // while selective repeat resends only the hole.
         while order.len() < TOTAL || !ta.fully_acked() {
             steps += 1;
+            let now = u64::from(steps);
             assert!(
                 steps < 400_000,
                 "[sr-vs-gbn {label}] driver wedged at {}/{TOTAL} deliveries",
@@ -572,11 +576,10 @@ fn chaos_selective_repeat_beats_go_back_n_5x() {
                 raw[0] = sent as u8;
                 raw[1] = (sent >> 8) as u8;
                 let frame = ta
-                    .on_send(Datagram::new(
-                        NodeAddr(1),
-                        NodeAddr(2),
-                        vec![CacheLine::from_bytes(raw)],
-                    ))
+                    .on_send(
+                        Datagram::new(NodeAddr(1), NodeAddr(2), vec![CacheLine::from_bytes(raw)]),
+                        now,
+                    )
                     .unwrap();
                 pa.send(NodeAddr(2), frame.encode()).unwrap();
                 sent += 1;
@@ -586,7 +589,7 @@ fn chaos_selective_repeat_beats_go_back_n_5x() {
                 order.push(u16::from(b[0]) | (u16::from(b[1]) << 8));
             };
             while let Some(bytes) = pb.try_recv() {
-                if let Ok(Some(d)) = tb.on_recv(&bytes) {
+                if let Ok(Some(d)) = tb.on_recv(&bytes, now) {
                     deliver(d, &mut order);
                 }
                 // Selective repeat releases gap-filled successors here.
@@ -594,22 +597,23 @@ fn chaos_selective_repeat_beats_go_back_n_5x() {
                     deliver(d, &mut order);
                 }
             }
-            for frame in tb.on_tick() {
+            for frame in tb.on_tick(now) {
                 pb.send(frame.as_view().dst(), frame.encode()).unwrap();
             }
             while let Some(bytes) = pa.try_recv() {
-                let _ = ta.on_recv(&bytes);
+                let _ = ta.on_recv(&bytes, now);
             }
-            for frame in ta.on_tick() {
+            for frame in ta.on_tick(now) {
                 pa.send(frame.as_view().dst(), frame.encode()).unwrap();
             }
         }
         fabric.quiesce();
+        let now = u64::from(steps) + 1;
         while let Some(bytes) = pb.try_recv() {
-            let _ = tb.on_recv(&bytes);
+            let _ = tb.on_recv(&bytes, now);
         }
         while let Some(bytes) = pa.try_recv() {
-            let _ = ta.on_recv(&bytes);
+            let _ = ta.on_recv(&bytes, now);
         }
         (order, ta.stats(), tb.stats())
     };

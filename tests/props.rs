@@ -274,23 +274,23 @@ proptest! {
             let mut line = CacheLine::zeroed();
             line.as_bytes_mut()[20] = i as u8;
             let frame = sender
-                .on_send(Datagram::new(NodeAddr(1), NodeAddr(2), vec![line]))
+                .on_send(Datagram::new(NodeAddr(1), NodeAddr(2), vec![line]), 0)
                 .unwrap();
             if !dropped {
-                if let Some(d) = receiver.on_recv(&frame.encode()).unwrap() {
+                if let Some(d) = receiver.on_recv(&frame.encode(), 0).unwrap() {
                     delivered.push(d.lines[0].as_bytes()[20]);
                 }
             }
         }
         // Tick both sides until the stream repairs (every tick may lose
         // nothing further).
-        for _ in 0..64 {
-            for frame in receiver.on_tick() {
-                sender.on_recv(&frame.encode()).unwrap();
+        for now in 1..=64 {
+            for frame in receiver.on_tick(now) {
+                sender.on_recv(&frame.encode(), now).unwrap();
             }
-            for frame in sender.on_tick() {
+            for frame in sender.on_tick(now) {
                 if let TransportFrame::Data { .. } = &frame {
-                    if let Some(d) = receiver.on_recv(&frame.encode()).unwrap() {
+                    if let Some(d) = receiver.on_recv(&frame.encode(), now).unwrap() {
                         delivered.push(d.lines[0].as_bytes()[20]);
                     }
                 }
@@ -339,11 +339,11 @@ proptest! {
         const N: u8 = 25;
         let mut sent = 0u8;
         let mut delivered: Vec<u8> = Vec::new();
-        for _round in 0..10_000 {
+        for now in 0..10_000 {
             while sent < N && a.window_available(NodeAddr(2)) {
                 let mut line = CacheLine::zeroed();
                 line.as_bytes_mut()[20] = sent;
-                match a.on_send(Datagram::new(NodeAddr(1), NodeAddr(2), vec![line])) {
+                match a.on_send(Datagram::new(NodeAddr(1), NodeAddr(2), vec![line]), now) {
                     Ok(frame) => {
                         pa.send(NodeAddr(2), frame.encode()).unwrap();
                         sent += 1;
@@ -352,7 +352,7 @@ proptest! {
                 }
             }
             while let Some(bytes) = pb.try_recv() {
-                if let Ok(Some(d)) = b.on_recv(&bytes) {
+                if let Ok(Some(d)) = b.on_recv(&bytes, now) {
                     delivered.push(d.lines[0].as_bytes()[20]);
                 }
                 // Selective repeat releases gap-filled datagrams out of band.
@@ -361,12 +361,12 @@ proptest! {
                 }
             }
             while let Some(bytes) = pa.try_recv() {
-                let _ = a.on_recv(&bytes);
+                let _ = a.on_recv(&bytes, now);
             }
-            for f in b.on_tick() {
+            for f in b.on_tick(now) {
                 pb.send(NodeAddr(1), f.encode()).unwrap();
             }
-            for f in a.on_tick() {
+            for f in a.on_tick(now) {
                 pa.send(NodeAddr(2), f.encode()).unwrap();
             }
             if delivered.len() == usize::from(N) && a.fully_acked() {
@@ -394,6 +394,146 @@ proptest! {
             prop_assert_eq!(sb.out_of_order_drops, 0);
             prop_assert_eq!(sa.wire_drops + sb.wire_drops, 0);
         }
+    }
+
+    /// Ack coalescing under an arbitrary composed fault plan, on a
+    /// synthetic clock that advances by a seeded step of up to one ack
+    /// delay per round. With and without reverse traffic to piggyback on:
+    /// delivery stays exactly-once and FIFO both ways, standalone acks
+    /// never outnumber the data datagrams received, a round that leaves a
+    /// gap at the receiver ends with an immediate SACK, and a quiet
+    /// receive direction acks within the ack delay.
+    #[test]
+    fn coalesced_acks_over_faulty_fabric(
+        seed in any::<u64>(),
+        drop in 0.0f64..0.3,
+        reorder in 0.0f64..0.3,
+        duplicate in 0.0f64..0.3,
+        corrupt in 0.0f64..0.2,
+        delay in 0.0f64..0.2,
+        reverse in any::<bool>(),
+    ) {
+        use dagger::nic::reliable::{RecoveryMode, ReliableConfig, ReliableTransport, TransportFrame};
+        use dagger::nic::transport::Datagram;
+        use dagger::nic::{FaultPlan, MemFabric};
+
+        let plan = FaultPlan::seeded(seed)
+            .with_drop(drop)
+            .with_reorder(reorder, 4)
+            .with_duplicate(duplicate)
+            .with_corrupt(corrupt)
+            .with_delay(delay, 8);
+        let fabric = MemFabric::with_faults(plan);
+        let pa = fabric.attach(NodeAddr(1)).unwrap();
+        let pb = fabric.attach(NodeAddr(2)).unwrap();
+        let cfg = ReliableConfig {
+            retransmit_after_ticks: 64,
+            window: 8,
+            mode: RecoveryMode::SelectiveRepeat,
+        };
+        let ack_delay = cfg.ack_delay();
+        let mut a = ReliableTransport::new(NodeAddr(1), cfg);
+        let mut b = ReliableTransport::new(NodeAddr(2), cfg);
+        let line = |tag: u8| {
+            let mut line = CacheLine::zeroed();
+            line.as_bytes_mut()[20] = tag;
+            vec![line]
+        };
+        let tag = |d: Datagram| d.lines[0].as_bytes()[20];
+
+        const N: u8 = 30;
+        let b_quota = if reverse { N } else { 0 };
+        let (mut a_sent, mut b_sent) = (0u8, 0u8);
+        let (mut at_a, mut at_b) = (Vec::new(), Vec::new());
+        // Data datagrams each side decoded off the wire.
+        let (mut a_data_in, mut b_data_in) = (0u64, 0u64);
+        // Sequences b has received from a, and when b's oldest unsent ack
+        // became owed (tracked only while b has no data to piggyback on).
+        let mut b_seen = std::collections::BTreeSet::new();
+        let mut owed_since: Option<u64> = None;
+        let mut now = 0u64;
+        let mut rng = seed;
+        for _round in 0..100_000 {
+            rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            now += (rng >> 33) % (ack_delay + 1);
+            while a_sent < N && a.window_available(NodeAddr(2)) {
+                let f = a.on_send(Datagram::new(NodeAddr(1), NodeAddr(2), line(a_sent)), now).unwrap();
+                pa.send(NodeAddr(2), f.encode()).unwrap();
+                a_sent += 1;
+            }
+            while b_sent < b_quota && b.window_available(NodeAddr(1)) {
+                let f = b.on_send(Datagram::new(NodeAddr(2), NodeAddr(1), line(b_sent)), now).unwrap();
+                pb.send(NodeAddr(1), f.encode()).unwrap();
+                b_sent += 1;
+            }
+            let mut arrived = false;
+            while let Some(bytes) = pb.try_recv() {
+                if let Ok(TransportFrame::Data { seq, .. }) = TransportFrame::decode(&bytes) {
+                    b_data_in += 1;
+                    arrived = true;
+                    b_seen.insert(seq);
+                    owed_since.get_or_insert(now);
+                }
+                if let Ok(Some(d)) = b.on_recv(&bytes, now) {
+                    at_b.push(tag(d));
+                }
+                while let Some(d) = b.next_ready() {
+                    at_b.push(tag(d));
+                }
+            }
+            // Received but undeliverable: a gap sits below it.
+            let gap = b_seen.range(at_b.len() as u64..).next().is_some();
+            let frames = b.on_tick(now);
+            let acked = frames
+                .iter()
+                .any(|f| matches!(f, TransportFrame::Ack { .. } | TransportFrame::Sack { .. }));
+            if arrived && gap {
+                prop_assert!(
+                    frames.iter().any(|f| matches!(f, TransportFrame::Sack { .. })),
+                    "a gap must produce an immediate SACK"
+                );
+            }
+            if !reverse {
+                if let Some(since) = owed_since {
+                    prop_assert!(
+                        acked || now < since + ack_delay,
+                        "quiet direction held an ack past the ack delay"
+                    );
+                }
+                if acked {
+                    owed_since = None;
+                }
+            }
+            for f in frames {
+                pb.send(NodeAddr(1), f.encode()).unwrap();
+            }
+            while let Some(bytes) = pa.try_recv() {
+                if let Ok(TransportFrame::Data { .. }) = TransportFrame::decode(&bytes) {
+                    a_data_in += 1;
+                }
+                if let Ok(Some(d)) = a.on_recv(&bytes, now) {
+                    at_a.push(tag(d));
+                }
+                while let Some(d) = a.next_ready() {
+                    at_a.push(tag(d));
+                }
+            }
+            for f in a.on_tick(now) {
+                pa.send(NodeAddr(2), f.encode()).unwrap();
+            }
+            if at_b.len() == usize::from(N)
+                && at_a.len() == usize::from(b_quota)
+                && a.fully_acked()
+                && b.fully_acked()
+            {
+                break;
+            }
+        }
+        prop_assert_eq!(at_b, (0..N).collect::<Vec<_>>());
+        prop_assert_eq!(at_a, (0..b_quota).collect::<Vec<_>>());
+        prop_assert!(a.fully_acked() && b.fully_acked(), "a window stalled");
+        prop_assert!(b.stats().standalone_acks <= b_data_in);
+        prop_assert!(a.stats().standalone_acks <= a_data_in);
     }
 
     /// `RpcHeader::decode` is total on arbitrary byte strings (truncations
@@ -549,21 +689,21 @@ proptest! {
         for (i, line) in frames.iter().enumerate() {
             let dropped = drops.get(i).copied().unwrap_or(false);
             let frame = sender
-                .on_send(Datagram::new(NodeAddr(1), NodeAddr(2), vec![*line]))
+                .on_send(Datagram::new(NodeAddr(1), NodeAddr(2), vec![*line]), 0)
                 .unwrap();
             if !dropped {
-                if let Some(d) = receiver.on_recv(&frame.encode()).unwrap() {
+                if let Some(d) = receiver.on_recv(&frame.encode(), 0).unwrap() {
                     arrived.extend(d.lines);
                 }
             }
         }
-        for _ in 0..96 {
-            for f in receiver.on_tick() {
-                sender.on_recv(&f.encode()).unwrap();
+        for now in 1..=96 {
+            for f in receiver.on_tick(now) {
+                sender.on_recv(&f.encode(), now).unwrap();
             }
-            for f in sender.on_tick() {
+            for f in sender.on_tick(now) {
                 if let TransportFrame::Data { .. } = &f {
-                    if let Some(d) = receiver.on_recv(&f.encode()).unwrap() {
+                    if let Some(d) = receiver.on_recv(&f.encode(), now).unwrap() {
                         arrived.extend(d.lines);
                     }
                 }

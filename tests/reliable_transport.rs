@@ -18,6 +18,7 @@ use std::time::Duration;
 use common::{reliable_cfg, Conf, ConformClient, ConformDispatch, ConformHandler};
 use dagger::nic::{MemFabric, Nic};
 use dagger::rpc::{RpcClientPool, RpcThreadedServer};
+use dagger::telemetry::Telemetry;
 use dagger::types::{DaggerError, HardConfig, NodeAddr, Result};
 
 struct EchoImpl;
@@ -68,6 +69,57 @@ fn reliable_nics_survive_heavy_loss() {
     drop(pool);
     client_nic.shutdown();
     server_nic.shutdown();
+}
+
+/// Every NIC publishes the reliable gauges that explain its wire work:
+/// retransmissions split into fast (SACK holes) and timeout causes, acks
+/// that found no reverse data to ride on, and the smoothed RTT.
+#[test]
+fn reliable_gauges_split_retransmissions_by_cause() {
+    let fabric = MemFabric::with_loss(0.1, 5);
+    let telemetry = Telemetry::new();
+    let start = |addr| {
+        Nic::start_with_telemetry(&fabric, addr, reliable_cfg(), Arc::clone(&telemetry)).unwrap()
+    };
+    let server_nic = start(NodeAddr(1));
+    let client_nic = start(NodeAddr(2));
+    let mut server = RpcThreadedServer::new(Arc::clone(&server_nic), 1);
+    server
+        .register_service(Arc::new(ConformDispatch::new(EchoImpl)))
+        .unwrap();
+    server.start().unwrap();
+    let pool = RpcClientPool::connect(Arc::clone(&client_nic), NodeAddr(1), 1).unwrap();
+    let raw = pool.client(0).unwrap();
+    raw.set_timeout(Duration::from_secs(20));
+    let client = ConformClient::new(raw);
+    for seq in 0..60u32 {
+        let resp = client.echo(&probe(seq, vec![seq as u8; 100])).unwrap();
+        assert_eq!(resp.body, vec![seq as u8; 100]);
+    }
+    server.stop();
+    drop(pool);
+    client_nic.shutdown();
+    server_nic.shutdown();
+
+    let snap = telemetry.snapshot();
+    let gauge = |addr: u32, name: &str| {
+        let full = format!("nic.{addr}.reliable.{name}");
+        snap.registry
+            .gauge(&full)
+            .unwrap_or_else(|| panic!("{full} not published"))
+    };
+    let mut repairs = 0;
+    for addr in [1, 2] {
+        let (fast, timeout) = (
+            gauge(addr, "fast_retransmits"),
+            gauge(addr, "timeout_retransmits"),
+        );
+        assert_eq!(gauge(addr, "retransmissions"), fast + timeout);
+        repairs += fast + timeout;
+        gauge(addr, "standalone_acks");
+    }
+    assert!(repairs > 0, "10% loss forced no repair");
+    assert!(gauge(2, "srtt_ns") > 0, "the client sampled its RTT");
 }
 
 #[test]
